@@ -13,7 +13,6 @@ from .attack import (
     WorkCounters,
     attack,
     brute_force,
-    column_poly,
     extend_column,
     recover_sra,
     recover_srs,
@@ -28,6 +27,7 @@ from .errors import (
 from .generator import (
     SgSpec,
     ShrinkingKey,
+    column_poly,
     lc_bounds,
     measure_shrunken_period,
     shrink,
@@ -37,15 +37,10 @@ from .generator import (
 from .gf2 import (
     FACTOR_DEGREE_CAP,
     BinaryPolynomial,
-    CyclotomicCoset,
-    FieldElement,
     berlekamp_massey,
     coset_min_poly,
-    cyclotomic_coset,
-    field_pow,
     mod_inverse,
     poly_is_primitive,
-    poly_mul_mod,
 )
 from .interleaved import (
     InterleavedConfig,
@@ -60,10 +55,8 @@ from .lfsr import (
     BitSequence,
     LfsrSpec,
     LfsrState,
-    decimate,
     lfsr_generate,
     lfsr_stream,
-    window_find,
 )
 
 __all__ = [
@@ -72,9 +65,7 @@ __all__ = [
     "BRUTE_FORCE_MAX_BITS",
     "BinaryPolynomial",
     "BitSequence",
-    "CyclotomicCoset",
     "FACTOR_DEGREE_CAP",
-    "FieldElement",
     "InconsistentDataError",
     "InsufficientInputError",
     "InterleavedConfig",
@@ -93,10 +84,7 @@ __all__ = [
     "build_ic",
     "column_poly",
     "coset_min_poly",
-    "cyclotomic_coset",
-    "decimate",
     "extend_column",
-    "field_pow",
     "ic_source_index",
     "is_interleaved",
     "lc_bounds",
@@ -105,7 +93,6 @@ __all__ = [
     "measure_shrunken_period",
     "mod_inverse",
     "poly_is_primitive",
-    "poly_mul_mod",
     "recover_sra",
     "recover_srs",
     "row_positions",
@@ -113,5 +100,4 @@ __all__ = [
     "shrunken_interleaved_check",
     "shrunken_period",
     "verify_shrunken_charpoly",
-    "window_find",
 ]

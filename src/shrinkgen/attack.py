@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InconsistentDataError, InsufficientInputError, UnsupportedSizeError
-from .gf2 import BinaryPolynomial, coset_min_poly, mod_inverse
-from .generator import SgSpec, ShrinkingKey, shrink
+from .gf2 import BinaryPolynomial, mod_inverse
+from .generator import SgSpec, ShrinkingKey, column_poly, shrink
 from .interleaved import InterleavedConfig, KnownBits, OffsetVector, build_ic
 from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_generate
 
@@ -68,11 +68,6 @@ class AttackResult:
             f"pd={self.column_poly}\n"
             f"comparisons={self.work.comparisons}\n"
         )
-
-
-def column_poly(spec: SgSpec) -> BinaryPolynomial:
-    """Characteristic polynomial P_D shared by all IC columns."""
-    return coset_min_poly((1 << spec.s_length) - 1, spec.pa)
 
 
 def row_positions(a: int, s: int) -> tuple[int, ...]:

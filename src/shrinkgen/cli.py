@@ -16,6 +16,7 @@ from .errors import InsufficientInputError, InterceptedDataError
 from .generator import (
     SgSpec,
     ShrinkingKey,
+    _check_lengths,
     lc_bounds,
     shrink,
     shrunken_period,
@@ -165,8 +166,9 @@ def _cmd_analyze(args) -> None:
 
 def _cmd_coset(args) -> None:
     pa = BinaryPolynomial.parse(args.pa)
-    if args.s < 1:
-        raise ValueError("selector length must be >= 1")
+    if pa.degree is None or pa.degree < 1:
+        raise ValueError("data polynomial must have degree >= 1")
+    _check_lengths(pa.degree, args.s)
     print(coset_min_poly((1 << args.s) - 1, pa))
 
 

@@ -15,6 +15,15 @@ from .gf2 import BinaryPolynomial, berlekamp_massey, coset_min_poly
 from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_stream
 
 
+def _check_lengths(a: int, s: int) -> None:
+    if s < 1:
+        raise ValueError(f"selector length {s} must be >= 1")
+    if s >= a:
+        raise ValueError(f"selector length {s} must be smaller than data length {a}")
+    if gcd(s, a) != 1:
+        raise ValueError(f"register lengths {s} and {a} must be coprime")
+
+
 @dataclass(frozen=True)
 class SgSpec:
     """Public parameters: data polynomial pa (degree A), selector polynomial ps (degree S)."""
@@ -26,10 +35,7 @@ class SgSpec:
         a, s = self.pa.degree, self.ps.degree
         if a is None or s is None or s < 1:
             raise ValueError("both polynomials must have degree >= 1")
-        if s >= a:
-            raise ValueError(f"selector length {s} must be smaller than data length {a}")
-        if gcd(s, a) != 1:
-            raise ValueError(f"register lengths {s} and {a} must be coprime")
+        _check_lengths(a, s)
         LfsrSpec(self.pa)
         LfsrSpec(self.ps)
 
@@ -58,11 +64,9 @@ class ShrinkingKey:
     srs_state: LfsrState
 
 
-def _check_lengths(a: int, s: int) -> None:
-    if s < 1 or a <= s:
-        raise ValueError("register lengths need A > S >= 1")
-    if gcd(s, a) != 1:
-        raise ValueError(f"register lengths {s} and {a} must be coprime")
+def column_poly(spec: SgSpec) -> BinaryPolynomial:
+    """Characteristic polynomial P_D shared by all IC columns."""
+    return coset_min_poly((1 << spec.s_length) - 1, spec.pa)
 
 
 def _check_key(spec: SgSpec, key: ShrinkingKey) -> None:
@@ -138,7 +142,7 @@ def verify_shrunken_charpoly(spec: SgSpec, key: ShrinkingKey) -> tuple[BinaryPol
     _check_key(spec, key)
     a, s = spec.a_length, spec.s_length
     lc, conn = berlekamp_massey(shrink(spec, key, shrunken_period(a, s)))
-    pd = coset_min_poly((1 << s) - 1, spec.pa)
+    pd = column_poly(spec)
     p, rem = divmod(lc, pd.degree)
     if rem or pd ** p != conn:
         raise InconsistentDataError(f"measured polynomial {conn} is not a power of {pd}")

@@ -1,4 +1,4 @@
-"""Arithmetic over GF(2)[x] and GF(2^A).
+"""Arithmetic over GF(2)[x].
 
 Polynomials over GF(2) are held as integer bit masks: bit k of the mask is
 the coefficient of x^k, so x^5 + x^4 + x^3 + x^2 + 1 is 0b111101 = 0x3D.
@@ -137,13 +137,6 @@ class BinaryPolynomial:
         return f"BinaryPolynomial({self})"
 
 
-def poly_mul_mod(a: BinaryPolynomial, b: BinaryPolynomial, m: BinaryPolynomial) -> BinaryPolynomial:
-    """(a * b) mod m over GF(2)[x]."""
-    if m.degree is None or m.degree < 1:
-        raise ValueError("modulus must have degree >= 1")
-    return (a * b) % m
-
-
 @lru_cache(maxsize=None)
 def _prime_factors(n: int) -> tuple[int, ...]:
     factors = []
@@ -204,110 +197,14 @@ def mod_inverse(u: int, m: int) -> int:
         raise ValueError(f"{u} has no inverse modulo {m}") from None
 
 
-@dataclass(frozen=True)
-class CyclotomicCoset:
-    """The orbit of an exponent under doubling modulo 2^A - 1."""
-
-    leader: int
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.exponents:
-            raise ValueError("a coset cannot be empty")
-        if list(self.exponents) != sorted(set(self.exponents)):
-            raise ValueError("exponents must be sorted and distinct")
-        if self.leader != self.exponents[0] or self.leader < 0:
-            raise ValueError("leader must be the smallest exponent")
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    def __iter__(self):
-        return iter(self.exponents)
-
-
-def cyclotomic_coset(n: int, a: int) -> CyclotomicCoset:
-    """Coset {n * 2^k mod (2^a - 1)} collected until closure."""
-    if a < 1:
-        raise ValueError("field size exponent must be >= 1")
-    m = (1 << a) - 1
-    if not 0 <= n < m:
-        raise ValueError(f"coset element must lie in [0, {m})")
-    exps = set()
-    e = n
-    while e not in exps:
-        exps.add(e)
-        e = (e << 1) % m
-    ordered = tuple(sorted(exps))
-    return CyclotomicCoset(ordered[0], ordered)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue in GF(2^A) = GF(2)[x] modulo a degree-A polynomial."""
-
-    residue: BinaryPolynomial
-    modulus: BinaryPolynomial
-
-    def __post_init__(self) -> None:
-        if self.modulus.degree is None or self.modulus.degree < 1:
-            raise ValueError("field modulus must have degree >= 1")
-        if self.residue.degree is not None and self.residue.degree >= self.modulus.degree:
-            object.__setattr__(self, "residue", self.residue % self.modulus)
-
-    @classmethod
-    def generator(cls, modulus: BinaryPolynomial) -> "FieldElement":
-        """The class of x, a primitive element when the modulus is primitive."""
-        return cls(BinaryPolynomial(2), modulus)
-
-    @classmethod
-    def one(cls, modulus: BinaryPolynomial) -> "FieldElement":
-        return cls(BinaryPolynomial(1), modulus)
-
-    @classmethod
-    def zero(cls, modulus: BinaryPolynomial) -> "FieldElement":
-        return cls(BinaryPolynomial(0), modulus)
-
-    def _check_modulus(self, other: "FieldElement") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("field elements have different moduli")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._check_modulus(other)
-        return FieldElement(self.residue + other.residue, self.modulus)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._check_modulus(other)
-        return FieldElement((self.residue * other.residue) % self.modulus, self.modulus)
-
-    def __pow__(self, k: int) -> "FieldElement":
-        return field_pow(self, k)
-
-
-def field_pow(e: FieldElement, k: int) -> FieldElement:
-    """e^k by square-and-multiply; e^0 is the multiplicative identity."""
-    if k < 0:
-        raise ValueError("exponent must be >= 0")
-    result = FieldElement.one(e.modulus)
-    base = e
-    while k:
-        if k & 1:
-            result = result * base
-        base = base * base
-        k >>= 1
-    return result
-
-
 def coset_min_poly(n: int, pa: BinaryPolynomial) -> BinaryPolynomial:
     """Minimal polynomial over GF(2) of alpha^n, alpha a root of primitive pa.
 
-    Expands the product of (x + alpha^e) over the cyclotomic coset of n; the
-    closure of the coset guarantees the product collapses into GF(2)[x].  The
-    result is irreducible with degree equal to the coset size.
+    Runs Berlekamp-Massey over bit 0 of beta^k mod pa, beta = x^n mod pa.
+    That sequence is nonzero (beta^0 = 1) and obeys the recurrence of beta's
+    minimal polynomial; being irreducible, that polynomial is also the
+    sequence's own minimal polynomial, and its degree of at most A makes the
+    first 2A bits enough for Berlekamp-Massey to find it.
     """
     if not poly_is_primitive(pa):
         raise ValueError(f"{pa} is not primitive")
@@ -315,21 +212,12 @@ def coset_min_poly(n: int, pa: BinaryPolynomial) -> BinaryPolynomial:
     m = (1 << a) - 1
     if not 1 <= n < m:
         raise ValueError(f"exponent must lie in [1, {m})")
-    alpha = FieldElement.generator(pa)
-    zero = FieldElement.zero(pa)
-    coeffs = [FieldElement.one(pa)]  # polynomial in GF(2^A)[x], index = power of x
-    for e in cyclotomic_coset(n, a):
-        root = field_pow(alpha, e)
-        coeffs = [
-            (coeffs[i - 1] if i > 0 else zero)
-            + (coeffs[i] * root if i < len(coeffs) else zero)
-            for i in range(len(coeffs) + 1)
-        ]
-    mask = 0
-    for k, c in enumerate(coeffs):
-        assert c.residue.mask in (0, 1), "coset product left GF(2)"
-        mask |= c.residue.mask << k
-    return BinaryPolynomial(mask)
+    beta = _powmod(BinaryPolynomial(2), n, pa)
+    power, bits = BinaryPolynomial(1), []
+    for _ in range(2 * a):
+        bits.append(power.mask & 1)
+        power = (power * beta) % pa
+    return berlekamp_massey(bits)[1]
 
 
 def berlekamp_massey(bits: Iterable[int]) -> tuple[int, BinaryPolynomial]:

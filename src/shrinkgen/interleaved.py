@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InsufficientInputError
-from .gf2 import BinaryPolynomial, coset_min_poly
-from .generator import SgSpec, ShrinkingKey, _check_lengths, shrink, shrunken_period
+from .gf2 import BinaryPolynomial
+from .generator import SgSpec, ShrinkingKey, _check_lengths, column_poly, shrink, shrunken_period
 
 
 class KnownBits:
@@ -231,5 +231,4 @@ def shrunken_interleaved_check(spec: SgSpec, key: ShrinkingKey) -> bool:
     """Check one full keystream period is interleaved of size 2^(S-1) under P_D."""
     a, s = spec.a_length, spec.s_length
     period = shrunken_period(a, s)
-    pd = coset_min_poly((1 << s) - 1, spec.pa)
-    return is_interleaved(shrink(spec, key, period), 1 << (s - 1), pd)
+    return is_interleaved(shrink(spec, key, period), 1 << (s - 1), column_poly(spec))

@@ -1,4 +1,4 @@
-"""LFSR sequence generation, decimation and cyclic window search.
+"""LFSR sequence generation.
 
 A register of length L with characteristic polynomial
 x^L + c_{L-1} x^{L-1} + ... + c_0 runs the recurrence
@@ -13,10 +13,8 @@ and line breaks are ignored on parse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Iterator
 
-from .errors import InconsistentDataError
 from .gf2 import BinaryPolynomial, poly_is_primitive
 
 
@@ -166,38 +164,3 @@ def lfsr_generate(spec: LfsrSpec, state: LfsrState, n: int) -> BitSequence:
     t = spec.period
     return BitSequence(out, period=t if n and n % t == 0 else None)
 
-
-def decimate(seq: BitSequence, ratio: int, offset: int) -> BitSequence:
-    """One period of samples out[k] = seq[(offset + k*ratio) mod T].
-
-    When gcd(ratio, T) = 1 the result keeps period T; otherwise it repeats
-    with period T / gcd(ratio, T).
-    """
-    if seq.period is None:
-        raise ValueError("decimation needs a sequence with a declared period")
-    if ratio < 1:
-        raise ValueError("ratio must be >= 1")
-    if offset < 0:
-        raise ValueError("offset must be >= 0")
-    t = seq.period
-    out = [seq.at(offset + k * ratio) for k in range(t)]
-    return BitSequence(out, period=t // gcd(ratio, t))
-
-
-def window_find(pn: BitSequence, window: Iterable[int]) -> int:
-    """Cyclic position where `window` occurs in one period of `pn`.
-
-    Unique for PN-sequences: every nonzero L-bit window occurs exactly once
-    per period.  A missing window therefore signals corrupted input.
-    """
-    if pn.period is None:
-        raise ValueError("window search needs a sequence with a declared period")
-    w = tuple(int(b) for b in window)
-    if not w or any(b not in (0, 1) for b in w):
-        raise ValueError("window must be a nonempty bit vector")
-    if not any(w):
-        raise InconsistentDataError("an all-zero window never occurs in a PN-sequence")
-    for p in range(pn.period):
-        if all(pn.at(p + i) == w[i] for i in range(len(w))):
-            return p
-    raise InconsistentDataError("window does not occur; the sequence is corrupted")

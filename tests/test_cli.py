@@ -1,12 +1,34 @@
 """Command-line behavior: verbs, exit codes, round trips, determinism."""
 
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
 from conftest import KAT_PA, KAT_PS, KAT_SRA, KAT_SRS, PRIMITIVE_POLYS, make_spec, random_key
 from shrinkgen import shrink, shrunken_period
 from shrinkgen.cli import run
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """[argv, redirect target, shown stdout] for the README commands that
+    write a file or show their output on '# ->' lines."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("shrinkgen "):
+            command, _, target = line.partition(" > ")
+            examples.append([shlex.split(command)[1:], target.strip() or None, None])
+        elif line.startswith("# -> "):
+            examples[-1][2] = line[len("# -> "):] + "\n"
+        elif line.startswith("#    ") and examples and examples[-1][2] is not None:
+            examples[-1][2] += line[len("#    "):] + "\n"
+    return [e for e in examples if e[1] or e[2] is not None]
 
 
 def invoke(capsys, *argv):
@@ -148,6 +170,18 @@ class TestCosetVerb:
         code, _, _ = invoke(capsys, "coset", "--pa", KAT_PA, "--s", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("pa, s, reason", [
+        (PRIMITIVE_POLYS[6], "3", "coprime"),
+        (PRIMITIVE_POLYS[6], "6", "smaller than data length"),
+        ("0", "3", "degree"),
+        ("1", "3", "degree"),
+    ])
+    def test_rejected_lengths_exit_1(self, capsys, pa, s, reason):
+        code, out, err = invoke(capsys, "coset", "--pa", pa, "--s", s)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert reason in err
+
 
 class TestIcVerb:
     def test_dump(self, capsys, known_file):
@@ -165,6 +199,22 @@ class TestIcVerb:
         code, out, _ = invoke(capsys, "ic", "--pa", KAT_PA, "--ps", KAT_PS, "--keystream", str(path))
         assert code == 0
         assert "." not in out.strip()
+
+
+class TestReadmeExamples:
+    def test_shown_output_is_byte_identical(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        examples = readme_examples()
+        assert [argv[0] for argv, _, shown in examples if shown is not None] == [
+            "gen", "coset", "attack",
+        ]
+        for argv, target, shown in examples:
+            code, out, err = invoke(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            if target:
+                (tmp_path / target).write_text(out)
+            if shown is not None:
+                assert out == shown, argv
 
 
 class TestUsage:

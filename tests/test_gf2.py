@@ -1,4 +1,4 @@
-"""GF(2)[x] and GF(2^A) arithmetic against schoolbook references."""
+"""GF(2)[x] arithmetic against schoolbook references."""
 
 import math
 import random
@@ -11,18 +11,14 @@ import oracles
 from conftest import PRIMITIVE_POLYS, primitive
 from shrinkgen import (
     BinaryPolynomial,
-    FieldElement,
     LfsrSpec,
     LfsrState,
     UnsupportedSizeError,
     berlekamp_massey,
     coset_min_poly,
-    cyclotomic_coset,
-    field_pow,
     lfsr_generate,
     mod_inverse,
     poly_is_primitive,
-    poly_mul_mod,
 )
 
 masks = st.integers(min_value=0, max_value=(1 << 16) - 1)
@@ -65,7 +61,7 @@ class TestPolyMulMod:
     def test_squaring_has_no_cross_term(self):
         xp1 = BinaryPolynomial.parse("x+1")
         m = BinaryPolynomial.parse("x^3+x+1")
-        assert poly_mul_mod(xp1, xp1, m) == BinaryPolynomial.parse("x^2+1")
+        assert (xp1 * xp1) % m == BinaryPolynomial.parse("x^2+1")
 
     def test_reduction_by_modulus(self):
         # x^4 * x = x^5, one long-division step below the modulus
@@ -76,23 +72,16 @@ class TestPolyMulMod:
             oracles.mask_to_list(a.mask), oracles.mask_to_list(b.mask), oracles.mask_to_list(m.mask)
         )
         assert oracles.list_to_mask(expect) == BinaryPolynomial.parse("x^4+x^3+x^2+1").mask
-        assert poly_mul_mod(a, b, m) == BinaryPolynomial.parse("x^4+x^3+x^2+1")
+        assert (a * b) % m == BinaryPolynomial.parse("x^4+x^3+x^2+1")
 
     @given(masks, moduli)
     def test_multiplicative_identity(self, am, mm):
         a, one, m = BinaryPolynomial(am), BinaryPolynomial(1), BinaryPolynomial(mm)
-        assert poly_mul_mod(a, one, m) == a % m
-
-    def test_zero_modulus_rejected(self):
-        one = BinaryPolynomial(1)
-        with pytest.raises(ValueError):
-            poly_mul_mod(one, one, BinaryPolynomial(0))
-        with pytest.raises(ValueError):
-            poly_mul_mod(one, one, BinaryPolynomial(1))
+        assert (a * one) % m == a % m
 
     @given(masks, masks, moduli)
     def test_matches_schoolbook_reference(self, am, bm, mm):
-        got = poly_mul_mod(BinaryPolynomial(am), BinaryPolynomial(bm), BinaryPolynomial(mm))
+        got = (BinaryPolynomial(am) * BinaryPolynomial(bm)) % BinaryPolynomial(mm)
         ref = oracles.poly_mulmod(
             oracles.mask_to_list(am), oracles.mask_to_list(bm), oracles.mask_to_list(mm)
         )
@@ -102,9 +91,9 @@ class TestPolyMulMod:
     def test_ring_laws(self, am, bm, cm, mm):
         a, b, c = BinaryPolynomial(am), BinaryPolynomial(bm), BinaryPolynomial(cm)
         m = BinaryPolynomial(mm)
-        assert poly_mul_mod(a, b, m) == poly_mul_mod(b, a, m)
-        assert poly_mul_mod(poly_mul_mod(a, b, m), c, m) == poly_mul_mod(a, poly_mul_mod(b, c, m), m)
-        assert poly_mul_mod(a, b + c, m) == poly_mul_mod(a, b, m) + poly_mul_mod(a, c, m)
+        assert (a * b) % m == (b * a) % m
+        assert ((a * b) % m * c) % m == (a * ((b * c) % m)) % m
+        assert (a * (b + c)) % m == (a * b) % m + (a * c) % m
 
 
 class TestPrimitivity:
@@ -178,31 +167,6 @@ class TestModInverse:
             mod_inverse(1, 1)
 
 
-class TestCyclotomicCoset:
-    def test_known_cosets(self):
-        c = cyclotomic_coset(15, 5)
-        assert set(c.exponents) == {15, 30, 29, 27, 23}
-        assert c.leader == 15
-        assert cyclotomic_coset(0, 6).exponents == (0,)
-        assert cyclotomic_coset(1, 4).exponents == (1, 2, 4, 8)
-
-    def test_closed_under_doubling_and_size_divides_a(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            a = rng.randrange(2, 12)
-            m = (1 << a) - 1
-            n = rng.randrange(m)
-            c = cyclotomic_coset(n, a)
-            assert {e * 2 % m for e in c.exponents} == set(c.exponents)
-            assert a % len(c) == 0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            cyclotomic_coset(31, 5)
-        with pytest.raises(ValueError):
-            cyclotomic_coset(-1, 5)
-
-
 class TestCosetMinPoly:
     def test_known_value(self):
         pa = BinaryPolynomial.parse("x^5+x^4+x^3+x^2+1")
@@ -214,23 +178,28 @@ class TestCosetMinPoly:
         assert coset_min_poly(2, pa) == pa  # 2 lies in the coset of 1
 
     def test_root_degree_irreducibility(self):
-        rng = random.Random(11)
-        for a in (3, 4, 5, 7):
+        # an irreducible pd with alpha^n as a root, whose degree is the size
+        # of n's orbit under doubling, is the minimal polynomial of alpha^n
+        for a in range(2, 9):
             pa = primitive(a)
+            pa_list = oracles.mask_to_list(pa.mask)
             m = (1 << a) - 1
-            alpha = FieldElement.generator(pa)
-            for n in {rng.randrange(1, m) for _ in range(6)}:
+            root = [1]
+            for n in range(1, m):
+                root = oracles.poly_mulmod(root, [0, 1], pa_list)  # alpha^n
                 pd = coset_min_poly(n, pa)
-                assert pd.degree == len(cyclotomic_coset(n, a))
-                # alpha^n must be a root, evaluated with field arithmetic
-                value = FieldElement.zero(pa)
-                root = field_pow(alpha, n)
+                value = []
                 for k in range(pd.degree, -1, -1):
-                    value = value * root
+                    value = oracles.poly_mulmod(value, root, pa_list)
                     if pd.coeff(k):
-                        value = value + FieldElement.one(pa)
-                assert value.residue.mask == 0
+                        value = oracles.mask_to_list(oracles.list_to_mask(value) ^ 1)
+                assert value == [], (a, n)
                 assert oracles.is_irreducible(oracles.mask_to_list(pd.mask))
+                orbit, e = {n}, 2 * n % m
+                while e not in orbit:
+                    orbit.add(e)
+                    e = 2 * e % m
+                assert pd.degree == len(orbit)
 
     def test_non_primitive_modulus_rejected(self):
         with pytest.raises(ValueError):
@@ -242,32 +211,6 @@ class TestCosetMinPoly:
             coset_min_poly(0, pa)
         with pytest.raises(ValueError):
             coset_min_poly(31, pa)
-
-
-class TestFieldPow:
-    def test_identity_and_order(self):
-        for a in (3, 5, 8):
-            alpha = FieldElement.generator(primitive(a))
-            one = FieldElement.one(primitive(a))
-            assert field_pow(alpha, 0) == one
-            assert field_pow(alpha, (1 << a) - 1) == one
-
-    def test_matches_iterated_multiplication(self):
-        alpha = FieldElement.generator(BinaryPolynomial.parse("x^5+x^4+x^3+x^2+1"))
-        acc = FieldElement.one(alpha.modulus)
-        for _ in range(15):
-            acc = acc * alpha
-        assert field_pow(alpha, 15) == acc
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            field_pow(FieldElement.generator(primitive(3)), -1)
-
-    def test_mismatched_moduli_rejected(self):
-        a = FieldElement.generator(primitive(3))
-        b = FieldElement.generator(primitive(5))
-        with pytest.raises(ValueError):
-            a * b
 
 
 class TestBerlekampMassey:

@@ -1,4 +1,4 @@
-"""LFSR generation, decimation and window search against direct-recurrence oracles."""
+"""LFSR generation and PN-sequence properties against direct-recurrence oracles."""
 
 import random
 from math import gcd
@@ -10,15 +10,12 @@ from conftest import primitive
 from shrinkgen import (
     BinaryPolynomial,
     BitSequence,
-    InconsistentDataError,
     LfsrSpec,
     LfsrState,
     berlekamp_massey,
     coset_min_poly,
-    decimate,
     lfsr_generate,
     mod_inverse,
-    window_find,
 )
 
 
@@ -150,31 +147,13 @@ class TestPnProperties:
                 assert w not in seen
                 seen[w] = p
             assert len(seen) == spec.period  # all nonzero windows, each exactly once
-            for w, p in seen.items():
-                assert window_find(pn, w) == p
 
 
 class TestDecimate:
-    def test_identity(self):
-        spec = LfsrSpec(primitive(4))
-        pn = lfsr_generate(spec, LfsrState.parse("1000"), 15)
-        assert decimate(pn, 1, 0) == pn
-
     def test_known_columns(self, kat_spec, kat_key):
         a_seq = lfsr_generate(kat_spec.sra, kat_key.sra_state, 31)
-        assert decimate(a_seq, 15, 0).bits[:5] == (1, 1, 0, 0, 0)
-        assert decimate(a_seq, 15, 1).bits[:5] == (0, 0, 1, 1, 0)
-
-    def test_requires_period(self):
-        with pytest.raises(ValueError):
-            decimate(BitSequence((1, 0, 1)), 2, 0)
-
-    def test_non_coprime_ratio_shrinks_period(self):
-        spec = LfsrSpec(primitive(4))
-        pn = lfsr_generate(spec, LfsrState.parse("1000"), 15)
-        out = decimate(pn, 3, 0)
-        assert out.period == 5
-        assert len(out) == 15
+        assert tuple(a_seq.at(15 * k) for k in range(5)) == (1, 1, 0, 0, 0)
+        assert tuple(a_seq.at(15 * k + 1) for k in range(5)) == (0, 0, 1, 1, 0)
 
     def test_shift_invariance(self):
         rng = random.Random(43)
@@ -187,10 +166,9 @@ class TestDecimate:
                 if gcd(ratio, t) != 1:
                     continue
                 offset = rng.randrange(1, t)
-                base = decimate(pn, ratio, 0)
-                shifted = decimate(pn, ratio, offset)
                 rot = mod_inverse(ratio, t) * offset % t
-                assert shifted.bits == tuple(base.at(rot + k) for k in range(t))
+                for k in range(t):
+                    assert pn.at(offset + k * ratio) == pn.at((rot + k) * ratio)
 
     def test_decimation_by_selector_period_gives_column_poly(self):
         for a, s in [(5, 4), (5, 2), (7, 3)]:
@@ -198,31 +176,5 @@ class TestDecimate:
             pn = lfsr_generate(spec, LfsrState((1,) + (0,) * (a - 1)), spec.period)
             pd = coset_min_poly((1 << s) - 1, primitive(a))
             for offset in range(spec.period):
-                assert berlekamp_massey(decimate(pn, (1 << s) - 1, offset)) == (a, pd)
-
-
-class TestWindowFind:
-    def test_window_at_origin(self):
-        spec = LfsrSpec(primitive(5))
-        pn = lfsr_generate(spec, LfsrState.parse("10011"), 31)
-        assert window_find(pn, pn.bits[:5]) == 0
-
-    def test_known_position(self, kat_spec, kat_key):
-        a_seq = lfsr_generate(kat_spec.sra, kat_key.sra_state, 31)
-        d0 = decimate(a_seq, 15, 0)
-        assert window_find(d0, (1, 0, 0, 1, 0)) == 25
-
-    def test_all_zero_window(self):
-        spec = LfsrSpec(primitive(5))
-        pn = lfsr_generate(spec, LfsrState.parse("10011"), 31)
-        with pytest.raises(InconsistentDataError):
-            window_find(pn, (0,) * 5)
-
-    def test_missing_window_signals_corruption(self):
-        fake = BitSequence((1,), period=1)
-        with pytest.raises(InconsistentDataError):
-            window_find(fake, (1, 0))
-
-    def test_requires_period(self):
-        with pytest.raises(ValueError):
-            window_find(BitSequence((1, 0, 1)), (1, 0))
+                column = [pn.at(offset + k * ((1 << s) - 1)) for k in range(spec.period)]
+                assert berlekamp_massey(column) == (a, pd)
