@@ -1,19 +1,18 @@
 """Deterministic key recovery from a corner of the interleaved configuration.
 
-Phase one recovers the data-register state: the first IC column is a
-PN-sequence under the column polynomial, so A known cells extend to the whole
-column, and the state bits sit at the rows n_i solving
-n_i * (2^S - 1) = i (mod 2^A - 1).
+Every IC column is one PN-sequence under the column polynomial P_D, so cell t
+of the first column is parity((x^t mod P_D) & c0), c0 holding its A known
+cells; each read is a jump and no column is ever built out.  Phase one reads
+data bit a_i at row n_i = i * inv, inv = (2^S - 1)^(-1) mod (2^A - 1), one
+multiply by x^inv mod P_D per row.  Phase two finds column j's shift o_j * inv,
+o_j the position of the (j+1)-th 1 in the selector sequence, by trying
+o = o_{j-1}+1, ..., each window one multiply by x^inv past the last and read
+one multiply by x per row up to its first mismatch, until an offset reaches
+S - 1, which settles all S selector bits.
 
-Phase two recovers the selector state: every later column is the same
-PN-sequence shifted, so sliding candidate offsets o = o_{j-1}+1, o_{j-1}+2, ...
-along the extended first column until the A known cells of column j match
-pins o_j, the position of the (j+1)-th 1 in the selector sequence.  The scan
-stops once an offset reaches S - 1, which settles all S selector bits.
-
-Everything works on the keys' canonical form: selector states starting with
-a 1 bit.  A true key whose selector starts with 0 is recovered as its
-shift-equivalent canonical key, which generates the same keystream.
+Keys come out in canonical form (selector state starting with 1): a key whose
+selector starts with 0 yields its shift-equivalent canonical key, which
+generates the same keystream.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InconsistentDataError, InsufficientInputError, UnsupportedSizeError
-from .gf2 import BinaryPolynomial, mod_inverse
+from .gf2 import BinaryPolynomial, _mulmod, _xpow, mod_inverse
 from .generator import SgSpec, ShrinkingKey, column_poly, shrink
 from .interleaved import InterleavedConfig, KnownBits, OffsetVector, build_ic
 from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_generate
@@ -42,7 +41,7 @@ class AttackInput:
 
 @dataclass(frozen=True)
 class WorkCounters:
-    """Effort spent: phase-two window comparisons and first-column bits expanded."""
+    """Effort spent: candidate offsets tried; column bits read (A state rows plus window bits)."""
 
     comparisons: int
     column_bits_expanded: int
@@ -96,34 +95,72 @@ def _column_cells(ic: InterleavedConfig, j: int, a: int) -> list[int]:
     return cells
 
 
-def _read_sra(d0: BitSequence, positions: tuple[int, ...]) -> LfsrState:
-    bits = tuple(d0[n] for n in positions)
+def _column_mask(cells) -> int:
+    """The first column's A known cells as a mask, bit i = cell (i, 0)."""
+    c0 = sum(int(b) << i for i, b in enumerate(cells))
+    if not c0:
+        raise InconsistentDataError("a genuine column never contains an all-zero window")
+    return c0
+
+
+def _row_step(pd: BinaryPolynomial, a: int, s: int) -> int:
+    """x^inv mod P_D: the jump from row n_i of a column to row n_{i+1}."""
+    return _xpow(mod_inverse((1 << s) - 1, (1 << a) - 1), pd.mask)
+
+
+def _sra_phase(c0: int, pd: BinaryPolynomial, step: int) -> LfsrState:
+    bits, jump = [], 1  # jump = x^(n_i) mod P_D
+    for _ in range(pd.degree):
+        bits.append((jump & c0).bit_count() & 1)
+        jump = _mulmod(jump, step, pd.mask)
     if not any(bits):
         raise InconsistentDataError("recovered an all-zero data-register state")
-    return LfsrState(bits)
+    return LfsrState(tuple(bits))
+
+
+def _srs_phase(
+    ic: InterleavedConfig, c0: int, pd: BinaryPolynomial, step: int, s: int
+) -> tuple[LfsrState, OffsetVector, int, int]:
+    """Selector state, offsets, candidate offsets tried and window bits compared."""
+    a, m = pd.degree, pd.mask
+    offsets, comparisons, bits_read = [0], 0, 0
+    jump = step  # x^(o * inv) mod P_D for the next candidate o
+    while offsets[-1] < s - 1:
+        j = len(offsets)
+        col = _column_cells(ic, j, a)
+        for o in range(offsets[-1] + 1, (1 << s) - 1):
+            comparisons += 1
+            window, jump = jump, _mulmod(jump, step, m)
+            for cell in col:
+                bits_read += 1
+                if (window & c0).bit_count() & 1 != cell:
+                    break
+                window = _mulmod(window, 2, m)  # one row down
+            else:
+                offsets.append(o)
+                break
+        else:
+            raise InconsistentDataError(
+                f"no offset candidate up to {(1 << s) - 2} matches column {j}"
+            )
+    bits = tuple(int(o in offsets) for o in range(s))
+    return LfsrState(bits), OffsetVector(tuple(offsets)), comparisons, bits_read
 
 
 def recover_sra(attack_input: AttackInput) -> LfsrState:
-    """Phase one: read the data-register state off the extended first column."""
-    a, s = attack_input.spec.a_length, attack_input.spec.s_length
+    """Phase one: read the data-register state off the first column by jumps."""
+    spec = attack_input.spec
+    a, s = spec.a_length, spec.s_length
     ic = build_ic(attack_input.known, a, s)
-    d0 = extend_column(_column_cells(ic, 0, a), column_poly(attack_input.spec))
-    return _read_sra(d0, row_positions(a, s))
+    pd = column_poly(spec)
+    return _sra_phase(_column_mask(_column_cells(ic, 0, a)), pd, _row_step(pd, a, s))
 
 
 def recover_srs(
     attack_input: AttackInput, d0: BitSequence, sra: LfsrState
 ) -> tuple[LfsrState, OffsetVector]:
-    """Phase two: align later columns against d0 to read the selector state."""
+    """Phase two: align later columns against the first column d0 (only d0[:A] is read)."""
     spec = attack_input.spec
-    ic = build_ic(attack_input.known, spec.a_length, spec.s_length)
-    state, offsets, _ = _recover_srs_counted(spec, ic, d0, sra)
-    return state, offsets
-
-
-def _recover_srs_counted(
-    spec: SgSpec, ic: InterleavedConfig, d0: BitSequence, sra: LfsrState
-) -> tuple[LfsrState, OffsetVector, int]:
     a, s = spec.a_length, spec.s_length
     rows = (1 << a) - 1
     if d0.period != rows or len(d0) < rows:
@@ -132,32 +169,9 @@ def _recover_srs_counted(
         raise ValueError(f"data-register state needs {a} bits")
     if tuple(d0[n] for n in row_positions(a, s)) != sra.bits:
         raise ValueError("d0 and the recovered data-register state disagree")
-    if s == 1:
-        return LfsrState((1,)), OffsetVector((0,)), 0
-    inv = mod_inverse((1 << s) - 1, rows)
-    offsets = [0]
-    comparisons = 0
-    j = 0
-    while offsets[-1] < s - 1:
-        j += 1
-        col = _column_cells(ic, j, a)
-        match = None
-        for o in range(offsets[-1] + 1, (1 << s) - 1):
-            comparisons += 1
-            t = o * inv % rows
-            if all(d0.at(t + i) == col[i] for i in range(a)):
-                match = o
-                break
-        if match is None:
-            raise InconsistentDataError(
-                f"no offset candidate up to {(1 << s) - 2} matches column {j}"
-            )
-        offsets.append(match)
-    bits = [0] * s
-    for o in offsets:
-        if o < s:
-            bits[o] = 1
-    return LfsrState(tuple(bits)), OffsetVector(tuple(offsets)), comparisons
+    ic = build_ic(attack_input.known, a, s)
+    pd = column_poly(spec)
+    return _srs_phase(ic, _column_mask(d0[:a]), pd, _row_step(pd, a, s), s)[:2]
 
 
 def _check_regeneration(spec: SgSpec, key: ShrinkingKey, known: KnownBits) -> None:
@@ -200,13 +214,14 @@ def attack(attack_input: AttackInput) -> AttackResult:
     with _phase("row-positions"):
         npos = row_positions(a, s)
     with _phase("sra-recovery"):
-        d0 = extend_column(_column_cells(ic, 0, a), pd)
-        sra = _read_sra(d0, npos)
+        c0 = _column_mask(_column_cells(ic, 0, a))
+        step = _row_step(pd, a, s)
+        sra = _sra_phase(c0, pd, step)
     with _phase("srs-recovery"):
-        srs, offsets, comparisons = _recover_srs_counted(spec, ic, d0, sra)
+        srs, offsets, comparisons, bits_read = _srs_phase(ic, c0, pd, step, s)
     with _phase("regeneration-check"):
         _check_regeneration(spec, ShrinkingKey(sra, srs), attack_input.known)
-    work = WorkCounters(comparisons=comparisons, column_bits_expanded=len(d0) - a)
+    work = WorkCounters(comparisons=comparisons, column_bits_expanded=a + bits_read)
     return AttackResult(sra, srs, offsets, npos, pd, work)
 
 

@@ -60,25 +60,15 @@ class BinaryPolynomial:
             b >>= 1
         return BinaryPolynomial(acc)
 
-    def __divmod__(self, other: "BinaryPolynomial") -> tuple["BinaryPolynomial", "BinaryPolynomial"]:
+    def __mod__(self, other: "BinaryPolynomial") -> "BinaryPolynomial":
         if not isinstance(other, BinaryPolynomial):
             return NotImplemented
         if not other.mask:
             raise ZeroDivisionError("division by the zero polynomial")
-        a, b = self.mask, other.mask
-        dn = b.bit_length() - 1
-        q = 0
-        while a and a.bit_length() - 1 >= dn:
-            shift = a.bit_length() - 1 - dn
-            q |= 1 << shift
-            a ^= b << shift
-        return BinaryPolynomial(q), BinaryPolynomial(a)
-
-    def __mod__(self, other: "BinaryPolynomial") -> "BinaryPolynomial":
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "BinaryPolynomial") -> "BinaryPolynomial":
-        return divmod(self, other)[0]
+        a, n = self.mask, other.mask.bit_length()
+        while a.bit_length() >= n:
+            a ^= other.mask << (a.bit_length() - n)
+        return BinaryPolynomial(a)
 
     def __pow__(self, k: int) -> "BinaryPolynomial":
         if k < 0:
@@ -127,11 +117,8 @@ class BinaryPolynomial:
     def __str__(self) -> str:
         if not self.mask:
             return "0"
-        terms = []
-        for k in range(self.mask.bit_length() - 1, -1, -1):
-            if (self.mask >> k) & 1:
-                terms.append("1" if k == 0 else "x" if k == 1 else f"x^{k}")
-        return "+".join(terms)
+        return "+".join("1" if k == 0 else "x" if k == 1 else f"x^{k}"
+                        for k in range(self.mask.bit_length() - 1, -1, -1) if (self.mask >> k) & 1)
 
     def __repr__(self) -> str:
         return f"BinaryPolynomial({self})"
@@ -152,13 +139,25 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def _powmod(base: BinaryPolynomial, k: int, m: BinaryPolynomial) -> BinaryPolynomial:
-    result = BinaryPolynomial(1) % m
-    base = base % m
+def _mulmod(u: int, v: int, m: int) -> int:
+    """u * v mod m on masks; u must already be reduced mod m."""
+    top, acc = 1 << (m.bit_length() - 1), 0
+    while v:
+        if v & 1:
+            acc ^= u
+        v, u = v >> 1, u << 1
+        if u & top:
+            u ^= m
+    return acc
+
+
+def _xpow(k: int, m: int) -> int:
+    """x^k mod m on masks, for m of degree >= 1."""
+    result, base = 1, _mulmod(1, 2, m)  # x mod m
     while k:
         if k & 1:
-            result = (result * base) % m
-        base = (base * base) % m
+            result = _mulmod(result, base, m)
+        base = _mulmod(base, base, m)
         k >>= 1
     return result
 
@@ -181,10 +180,8 @@ def poly_is_primitive(p: BinaryPolynomial) -> bool:
     if not p.mask & 1:  # x divides p
         return False
     order = (1 << deg) - 1
-    x = BinaryPolynomial(2)
-    if _powmod(x, order, p).mask != 1:
-        return False
-    return all(_powmod(x, order // q, p).mask != 1 for q in _prime_factors(order))
+    return _xpow(order, p.mask) == 1 and all(
+        _xpow(order // q, p.mask) != 1 for q in _prime_factors(order))
 
 
 def mod_inverse(u: int, m: int) -> int:
@@ -212,11 +209,11 @@ def coset_min_poly(n: int, pa: BinaryPolynomial) -> BinaryPolynomial:
     m = (1 << a) - 1
     if not 1 <= n < m:
         raise ValueError(f"exponent must lie in [1, {m})")
-    beta = _powmod(BinaryPolynomial(2), n, pa)
-    power, bits = BinaryPolynomial(1), []
+    beta = _xpow(n, pa.mask)
+    power, bits = 1, []
     for _ in range(2 * a):
-        bits.append(power.mask & 1)
-        power = (power * beta) % pa
+        bits.append(power & 1)
+        power = _mulmod(power, beta, pa.mask)
     return berlekamp_massey(bits)[1]
 
 
@@ -240,8 +237,4 @@ def berlekamp_massey(bits: Iterable[int]) -> tuple[int, BinaryPolynomial]:
             c ^= b << (n - m)
             if 2 * lc <= n:
                 lc, m, b = n + 1 - lc, n, t
-    mask = 0
-    for i in range(lc + 1):
-        if (c >> i) & 1:
-            mask |= 1 << (lc - i)
-    return lc, BinaryPolynomial(mask)
+    return lc, BinaryPolynomial(sum(1 << (lc - i) for i in range(lc + 1) if (c >> i) & 1))

@@ -72,15 +72,6 @@ class KnownBits:
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(self._entries.items())
 
-    def get(self, pos: int, default=None):
-        return self._entries.get(pos, default)
-
-    def __getitem__(self, pos: int) -> int:
-        return self._entries[pos]
-
-    def __contains__(self, pos: int) -> bool:
-        return pos in self._entries
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -215,15 +206,14 @@ def is_interleaved(seq: Iterable[int], m: int, f: BinaryPolynomial) -> bool:
     if r is None or r < 1:
         raise ValueError("recurrence polynomial must have degree >= 1")
     bits = [int(b) for b in seq]
-    taps = [k for k in range(r) if f.coeff(k)]
+    taps = f.mask ^ (1 << r)
     for j in range(m):
         sub = bits[j::m]
-        for i in range(len(sub) - r):
-            acc = 0
-            for k in taps:
-                acc ^= sub[i + k]
-            if acc != sub[i + r]:
+        window = sum(b << k for k, b in enumerate(sub[:r]))  # bit k = sub[i + k], i the start
+        for b in sub[r:]:
+            if (window & taps).bit_count() & 1 != b:
                 return False
+            window = (window >> 1) | (b << (r - 1))
     return True
 
 

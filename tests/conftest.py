@@ -28,6 +28,7 @@ PRIMITIVE_POLYS = {
     10: "x^10+x^3+1",
     12: "x^12+x^6+x^4+x+1",
     21: "x^21+x^2+1",
+    31: "x^31+x^3+1",
 }
 
 # Known-answer data for the classic worked example: A = 5, S = 4, key

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import (
@@ -13,6 +15,7 @@ from conftest import (
     KAT_ROW_POSITIONS,
     KAT_SRA,
     KAT_SRS,
+    PRIMITIVE_POLYS,
     make_spec,
     primitive,
     random_key,
@@ -23,6 +26,7 @@ from shrinkgen import (
     BinaryPolynomial,
     InconsistentDataError,
     InsufficientInputError,
+    InterceptedDataError,
     KnownBits,
     LfsrState,
     SgSpec,
@@ -41,6 +45,7 @@ from shrinkgen import (
     row_positions,
     shrink,
 )
+from shrinkgen.gf2 import _xpow
 
 
 class TestColumnPoly:
@@ -105,6 +110,16 @@ class TestExtendColumn:
     def test_wrong_length_rejected(self, kat_spec):
         with pytest.raises(ValueError):
             extend_column((1, 0, 1), column_poly(kat_spec))
+
+    def test_jump_read_matches_full_column(self):
+        # cell t of a column is parity((x^t mod P) & c0), c0 bit i = cell i
+        rng = random.Random(83)
+        for degree in (d for d in PRIMITIVE_POLYS if d <= 8):
+            pd = primitive(degree)
+            c0 = rng.randrange(1, 1 << degree)
+            column = extend_column([(c0 >> i) & 1 for i in range(degree)], pd)
+            for t in range((1 << degree) - 1):
+                assert (_xpow(t, pd.mask) & c0).bit_count() & 1 == column[t], (degree, c0, t)
 
 
 class TestRecoverSra:
@@ -191,7 +206,7 @@ class TestAttack:
         assert result.row_positions == KAT_ROW_POSITIONS
         assert result.column_poly == BinaryPolynomial.parse(KAT_PD)
         assert result.work.comparisons == 3
-        assert result.work.column_bits_expanded == 26
+        assert result.work.column_bits_expanded == 16
 
     def test_serialization(self, kat_spec, kat_known):
         text = attack(AttackInput(kat_spec, kat_known)).to_text()
@@ -216,6 +231,11 @@ class TestAttack:
         partial = KnownBits({p: b for p, b in kat_known.items() if p != 19})
         with pytest.raises(InsufficientInputError):
             attack(AttackInput(kat_spec, partial))
+
+    def test_all_zero_first_column_rejected(self, kat_spec, kat_known):
+        zeroed = {p: (0 if p % 8 == 0 else b) for p, b in kat_known.items()}
+        with pytest.raises(InconsistentDataError, match="sra-recovery"):
+            attack(AttackInput(kat_spec, KnownBits(zeroed)))
 
     def test_phase_label_on_corrupted_data(self, kat_spec, kat_known):
         corrupted = {p: (b ^ 1 if p == 1 else b) for p, b in kat_known.items()}
@@ -255,6 +275,20 @@ class TestAttack:
                 key = random_key(rng, spec, s0=1)
                 result = attack(AttackInput(spec, submatrix_known(spec, key)))
                 assert result.work.comparisons <= 2 * s - 1
+                assert result.work.column_bits_expanded <= a + (2 * s - 1) * a
+
+    @pytest.mark.parametrize("s", [3, 5, 8])
+    def test_data_register_of_31_bits(self, s):
+        rng = random.Random(89 + s)
+        spec = make_spec(31, s)
+        key = random_key(rng, spec, s0=1)
+        known = submatrix_known(spec, key)
+        result = attack(AttackInput(spec, known))
+        assert ShrinkingKey(result.sra_state, result.srs_state) == key
+        flipped = rng.choice(known.positions())
+        corrupted = {p: b ^ (p == flipped) for p, b in known.items()}
+        with pytest.raises(InterceptedDataError):
+            attack(AttackInput(spec, KnownBits(corrupted)))
 
     def test_data_economy(self, kat_spec, kat_key, kat_known):
         # extra known bits do not change the result, and deleting any
@@ -279,6 +313,34 @@ class TestAttack:
             assert result.srs_state.bits[0] == 1
             recovered = ShrinkingKey(result.sra_state, result.srs_state)
             assert shrink(spec, recovered, t) == z
+
+
+@st.composite
+def corners_with_flips(draw):
+    """A genuine top-left corner at a small size with zero to two cells flipped."""
+    a, s = draw(st.sampled_from([(5, 2), (5, 3), (5, 4), (7, 2), (7, 3)]))
+    spec = make_spec(a, s)
+    sra = draw(st.lists(st.integers(0, 1), min_size=a, max_size=a).filter(any))
+    srs = [1] + draw(st.lists(st.integers(0, 1), min_size=s - 1, max_size=s - 1))
+    key = ShrinkingKey(LfsrState(tuple(sra)), LfsrState(tuple(srs)))
+    known = dict(submatrix_known(spec, key).items())
+    for p in draw(st.lists(st.sampled_from(sorted(known)), max_size=2, unique=True)):
+        known[p] ^= 1
+    return AttackInput(spec, KnownBits(known))
+
+
+class TestContract:
+    @settings(max_examples=150, deadline=None)
+    @given(corners_with_flips())
+    def test_attack_agrees_with_exhaustive_search(self, attack_input):
+        # a key that regenerates every known bit is returned exactly; with none, the attack refuses
+        keys = brute_force(attack_input)
+        try:
+            result = attack(attack_input)
+        except InterceptedDataError:
+            assert keys == []
+        else:
+            assert keys == [ShrinkingKey(result.sra_state, result.srs_state)]
 
 
 class TestBruteForce:
