@@ -6,9 +6,10 @@ cells; each read is a jump and no column is ever built out.  Phase one reads
 data bit a_i at row n_i = i * inv, inv = (2^S - 1)^(-1) mod (2^A - 1), one
 multiply by x^inv mod P_D per row.  Phase two finds column j's shift o_j * inv,
 o_j the position of the (j+1)-th 1 in the selector sequence, by trying
-o = o_{j-1}+1, ..., each window one multiply by x^inv past the last and read
-one multiply by x per row up to its first mismatch, until an offset reaches
-S - 1, which settles all S selector bits.
+o = o_{j-1}+1 .. o_{j-1}+S, each window one multiply by x^inv past the last and
+read one multiply by x per row up to its first mismatch, until an offset
+reaches S - 1, which settles all S selector bits.  The corner columns left
+unmatched are read the same way before the keystream is regenerated.
 
 Keys come out in canonical form (selector state starting with 1): a key whose
 selector starts with 0 yields its shift-equivalent canonical key, which
@@ -19,13 +20,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .errors import InconsistentDataError, InsufficientInputError, UnsupportedSizeError
 from .gf2 import BinaryPolynomial, _mulmod, _xpow, mod_inverse
 from .generator import SgSpec, ShrinkingKey, column_poly, shrink
 from .interleaved import InterleavedConfig, KnownBits, OffsetVector, build_ic
-from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_generate
+from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_generate, lfsr_stream
 
 # Cap on A + S for the exhaustive-search oracle.
 BRUTE_FORCE_MAX_BITS = 24
@@ -118,6 +119,15 @@ def _sra_phase(c0: int, pd: BinaryPolynomial, step: int) -> LfsrState:
     return LfsrState(tuple(bits))
 
 
+def _rows_agreeing(window: int, col, c0: int, m: int) -> int:
+    """Rows of col that the column read from `window` = x^t mod P_D matches before a mismatch."""
+    for n, cell in enumerate(col):
+        if (window & c0).bit_count() & 1 != cell:
+            return n
+        window = _mulmod(window, 2, m)  # one row down
+    return len(col)
+
+
 def _srs_phase(
     ic: InterleavedConfig, c0: int, pd: BinaryPolynomial, step: int, s: int
 ) -> tuple[LfsrState, OffsetVector, int, int]:
@@ -126,25 +136,44 @@ def _srs_phase(
     offsets, comparisons, bits_read = [0], 0, 0
     jump = step  # x^(o * inv) mod P_D for the next candidate o
     while offsets[-1] < s - 1:
-        j = len(offsets)
+        # A selector sequence never runs S zeros: column j starts at most S past column j-1.
+        j, last = len(offsets), offsets[-1] + s
         col = _column_cells(ic, j, a)
-        for o in range(offsets[-1] + 1, (1 << s) - 1):
+        for o in range(offsets[-1] + 1, last + 1):
             comparisons += 1
             window, jump = jump, _mulmod(jump, step, m)
-            for cell in col:
-                bits_read += 1
-                if (window & c0).bit_count() & 1 != cell:
-                    break
-                window = _mulmod(window, 2, m)  # one row down
-            else:
+            rows = _rows_agreeing(window, col, c0, m)
+            bits_read += min(rows + 1, a)  # the mismatching cell is compared too
+            if rows == a:
                 offsets.append(o)
                 break
         else:
-            raise InconsistentDataError(
-                f"no offset candidate up to {(1 << s) - 2} matches column {j}"
-            )
+            raise InconsistentDataError(f"no offset candidate up to {last} matches column {j}")
     bits = tuple(int(o in offsets) for o in range(s))
     return LfsrState(bits), OffsetVector(tuple(offsets)), comparisons, bits_read
+
+
+def _check_corner(ic: InterleavedConfig, c0: int, pd: BinaryPolynomial, step: int,
+                  spec: SgSpec, srs: LfsrState, offsets: OffsetVector) -> None:
+    """Check the corner columns phase two did not match against the recovered key.
+
+    Column j starts at x^(o_j * inv), o_j the position of the (j+1)-th 1 in
+    the key's selector sequence, so a corrupted corner cell is caught by
+    jumps before the regeneration check generates the keystream up to it.
+    """
+    a, s, m = pd.degree, spec.s_length, pd.mask
+    ones = (t for t, bit in enumerate(lfsr_stream(spec.srs, srs)) if bit)
+    jump, at = 1, 0  # x^(at * inv) mod P_D
+    for j, o in islice(enumerate(ones), 1, s):
+        if o in offsets.offsets[j:j + 1]:
+            continue  # phase two matched column j at this offset
+        for _ in range(o - at):
+            jump = _mulmod(jump, step, m)
+        at, rows = o, _rows_agreeing(jump, _column_cells(ic, j, a), c0, m)
+        if rows < a:
+            raise InconsistentDataError(
+                f"recovered key disagrees with the known bit at position {(rows << (s - 1)) + j}"
+            )
 
 
 def recover_sra(attack_input: AttackInput) -> LfsrState:
@@ -220,6 +249,7 @@ def attack(attack_input: AttackInput) -> AttackResult:
     with _phase("srs-recovery"):
         srs, offsets, comparisons, bits_read = _srs_phase(ic, c0, pd, step, s)
     with _phase("regeneration-check"):
+        _check_corner(ic, c0, pd, step, spec, srs, offsets)
         _check_regeneration(spec, ShrinkingKey(sra, srs), attack_input.known)
     work = WorkCounters(comparisons=comparisons, column_bits_expanded=a + bits_read)
     return AttackResult(sra, srs, offsets, npos, pd, work)

@@ -1,6 +1,7 @@
 """Two-phase key recovery, its invariants, and the exhaustive-search oracle."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -238,9 +239,43 @@ class TestAttack:
             attack(AttackInput(kat_spec, KnownBits(zeroed)))
 
     def test_phase_label_on_corrupted_data(self, kat_spec, kat_known):
+        # a selector sequence never runs S = 4 zeros, so column 1 is tried at offsets 1..4 only
         corrupted = {p: (b ^ 1 if p == 1 else b) for p, b in kat_known.items()}
-        with pytest.raises(InconsistentDataError, match="srs-recovery"):
+        message = "^srs-recovery: no offset candidate up to 4 matches column 1$"
+        with pytest.raises(InconsistentDataError, match=message):
             attack(AttackInput(kat_spec, KnownBits(corrupted)))
+
+    def test_unmatched_corner_column_checked_by_jumps(self, kat_spec, kat_known, monkeypatch):
+        # phase two settles the KAT selector at column 2 (offsets 0,1,3), so a flip in
+        # column 3 is found by the corner check, which never generates keystream
+        monkeypatch.setattr(sys.modules["shrinkgen.attack"], "shrink", None)
+        for n in range(5):
+            pos = 8 * n + 3
+            corrupted = {p: b ^ (p == pos) for p, b in kat_known.items()}
+            label = "^regeneration-check: recovered key disagrees with the known bit"
+            message = f"{label} at position {pos}$"
+            with pytest.raises(InconsistentDataError, match=message):
+                attack(AttackInput(kat_spec, KnownBits(corrupted)))
+
+    def test_corner_only_input_never_reaches_regeneration_when_rejected(self, monkeypatch):
+        # with every known bit in the corner, any corner no key fits is rejected before shrink runs
+        module = sys.modules["shrinkgen.attack"]
+        calls = []
+        monkeypatch.setattr(module, "shrink", lambda *args: calls.append(args) or shrink(*args))
+        rng = random.Random(97)
+        for a, s in [(5, 3), (5, 4), (7, 3), (7, 5)]:
+            spec = make_spec(a, s)
+            for _ in range(200):
+                known = submatrix_known(spec, random_key(rng, spec, s0=1))
+                flips = set(rng.sample(known.positions(), rng.choice([1, 2])))
+                corrupted = KnownBits({p: b ^ (p in flips) for p, b in known.items()})
+                calls.clear()
+                try:
+                    attack(AttackInput(spec, corrupted))
+                except InconsistentDataError:
+                    assert not calls
+                else:
+                    assert len(calls) == 1
 
     def test_offset_match_is_unique_and_cross_checked(self):
         # the scan's match is the only one among all candidates
