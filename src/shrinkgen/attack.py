@@ -9,7 +9,8 @@ o_j the position of the (j+1)-th 1 in the selector sequence, by trying
 o = o_{j-1}+1 .. o_{j-1}+S, each window one multiply by x^inv past the last and
 read one multiply by x per row up to its first mismatch, until an offset
 reaches S - 1, which settles all S selector bits.  The corner columns left
-unmatched are read the same way before the keystream is regenerated.
+unmatched are read the same way.  Last, every known bit is read from the
+recovered key by jumps on P_A, so no keystream is generated.
 
 Keys come out in canonical form (selector state starting with 1): a key whose
 selector starts with 0 yields its shift-equivalent canonical key, which
@@ -159,7 +160,7 @@ def _check_corner(ic: InterleavedConfig, c0: int, pd: BinaryPolynomial, step: in
 
     Column j starts at x^(o_j * inv), o_j the position of the (j+1)-th 1 in
     the key's selector sequence, so a corrupted corner cell is caught by
-    jumps before the regeneration check generates the keystream up to it.
+    the same window reads as phase two, before the regeneration check.
     """
     a, s, m = pd.degree, spec.s_length, pd.mask
     ones = (t for t, bit in enumerate(lfsr_stream(spec.srs, srs)) if bit)
@@ -204,12 +205,30 @@ def recover_srs(
 
 
 def _check_regeneration(spec: SgSpec, key: ShrinkingKey, known: KnownBits) -> None:
-    positions = known.positions()
-    if not positions:
-        return
-    ks = shrink(spec, key, max(positions) + 1)
+    """Check every known bit against the key without generating keystream.
+
+    Keystream bit n * 2^(S-1) + j is data bit t = (n * (2^S - 1) + o_j) mod
+    (2^A - 1), o_j the position of the (j+1)-th 1 in the selector sequence,
+    and data bit t is parity((x^t mod P_A) & c), c the data state.  A bit one
+    row below its column's previous known bit is one multiply by
+    x^(2^S - 1) away; any other bit is one fresh jump.
+    """
+    a, s, m = spec.a_length, spec.s_length, spec.pa.mask
+    cols, rows, ratio = 1 << (s - 1), (1 << a) - 1, (1 << s) - 1
+    ones = (t for t, bit in enumerate(lfsr_stream(spec.srs, key.srs_state)) if bit)
+    offsets = list(islice(ones, max((pos % cols for pos in known.positions()), default=-1) + 1))
+    c = sum(b << i for i, b in enumerate(key.sra_state.bits))
+    step = _xpow(ratio, m)
+    last = {}  # column j -> (row, x^t mod P_A) of its previous known bit
     for pos, bit in known.items():
-        if ks[pos] != bit:
+        n, j = divmod(pos, cols)
+        row, jump = last.get(j, (-2, 0))
+        if n == row + 1:
+            jump = _mulmod(jump, step, m)
+        else:
+            jump = _xpow((n * ratio + offsets[j]) % rows, m)
+        last[j] = n, jump
+        if (jump & c).bit_count() & 1 != bit:
             raise InconsistentDataError(
                 f"recovered key disagrees with the known bit at position {pos}"
             )
@@ -228,7 +247,8 @@ def attack(attack_input: AttackInput) -> AttackResult:
 
     Needs the A x S top-left IC cells, i.e. keystream positions
     n * 2^(S-1) + j for n < A, j < S; any further known bits only feed the
-    final regeneration check.
+    final check, which reads each from the key by one multiply or one jump
+    on P_A, so a far position costs no more than a near one.
     """
     spec = attack_input.spec
     a, s = spec.a_length, spec.s_length

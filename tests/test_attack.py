@@ -45,7 +45,9 @@ from shrinkgen import (
     recover_srs,
     row_positions,
     shrink,
+    shrunken_period,
 )
+from shrinkgen.attack import _check_regeneration
 from shrinkgen.gf2 import _xpow
 
 
@@ -247,8 +249,11 @@ class TestAttack:
 
     def test_unmatched_corner_column_checked_by_jumps(self, kat_spec, kat_known, monkeypatch):
         # phase two settles the KAT selector at column 2 (offsets 0,1,3), so a flip in
-        # column 3 is found by the corner check, which never generates keystream
-        monkeypatch.setattr(sys.modules["shrinkgen.attack"], "shrink", None)
+        # column 3 is found by the corner check, before the regeneration check runs
+        def regeneration_reached(*args):
+            pytest.fail("a corrupted corner column reached the regeneration check")
+
+        monkeypatch.setattr(sys.modules["shrinkgen.attack"], "_check_regeneration", regeneration_reached)
         for n in range(5):
             pos = 8 * n + 3
             corrupted = {p: b ^ (p == pos) for p, b in kat_known.items()}
@@ -258,10 +263,11 @@ class TestAttack:
                 attack(AttackInput(kat_spec, KnownBits(corrupted)))
 
     def test_corner_only_input_never_reaches_regeneration_when_rejected(self, monkeypatch):
-        # with every known bit in the corner, any corner no key fits is rejected before shrink runs
+        # with every known bit in the corner, any corner no key fits is rejected before
+        # the regeneration check runs
         module = sys.modules["shrinkgen.attack"]
-        calls = []
-        monkeypatch.setattr(module, "shrink", lambda *args: calls.append(args) or shrink(*args))
+        check, calls = module._check_regeneration, []
+        monkeypatch.setattr(module, "_check_regeneration", lambda *args: calls.append(args) or check(*args))
         rng = random.Random(97)
         for a, s in [(5, 3), (5, 4), (7, 3), (7, 5)]:
             spec = make_spec(a, s)
@@ -348,6 +354,69 @@ class TestAttack:
             assert result.srs_state.bits[0] == 1
             recovered = ShrinkingKey(result.sra_state, result.srs_state)
             assert shrink(spec, recovered, t) == z
+
+
+def ic_identity_bit(spec, key, pos):
+    """Keystream bit pos by the IC identity, in the list arithmetic of `oracles`.
+
+    Bit n * 2^(S-1) + j is data bit t = (n * (2^S - 1) + o_j) mod (2^A - 1),
+    o_j the position of the (j+1)-th 1 in the selector's first period, and
+    data bit t is the state bits weighted by the coefficients of x^t mod P_A.
+    """
+    a, s = spec.a_length, spec.s_length
+    n, j = divmod(pos, 1 << (s - 1))
+    selector = oracles.lfsr_run(oracles.mask_to_list(spec.ps.mask), list(key.srs_state.bits), (1 << s) - 1)
+    t = (n * ((1 << s) - 1) + oracles.one_positions(selector)[j]) % ((1 << a) - 1)
+    pa, power, square = oracles.mask_to_list(spec.pa.mask), [1], [0, 1]
+    while t:
+        if t & 1:
+            power = oracles.poly_mulmod(power, square, pa)
+        square = oracles.poly_mulmod(square, square, pa)
+        t >>= 1
+    return sum(c & b for c, b in zip(power, key.sra_state.bits)) % 2
+
+
+class TestRegenerationCheck:
+    @pytest.mark.parametrize("a,s", [(5, 2), (5, 3), (5, 4), (7, 3), (7, 5)])
+    def test_jump_reads_match_shrink(self, a, s):
+        # a full period is accepted; flipped bits are reported at the lowest flipped position
+        rng = random.Random(103 * a + s)
+        spec = make_spec(a, s)
+        period = shrunken_period(a, s)
+        for s0 in (0, 0, 1, None):
+            key = random_key(rng, spec, s0=s0)
+            z = shrink(spec, key, period)
+            _check_regeneration(spec, key, KnownBits.from_prefix(z))
+            single = [(p,) for p in {0, period - 1} | set(rng.sample(range(period), 32))]
+            pairs = [tuple(sorted(rng.sample(range(period), 2))) for _ in range(8)]
+            for flips in single + pairs:
+                flipped = KnownBits.from_prefix(b ^ (i in flips) for i, b in enumerate(z))
+                message = f"^recovered key disagrees with the known bit at position {flips[0]}$"
+                with pytest.raises(InconsistentDataError, match=message):
+                    _check_regeneration(spec, key, flipped)
+
+    def test_ic_identity_oracle_matches_shrink(self):
+        rng = random.Random(107)
+        spec = make_spec(7, 3)
+        for s0 in (0, 1):
+            key = random_key(rng, spec, s0=s0)
+            z = shrink(spec, key, shrunken_period(7, 3))
+            assert [ic_identity_bit(spec, key, p) for p in range(len(z))] == list(z)
+
+    @pytest.mark.parametrize("a,s", [(21, 5), (31, 3)])
+    def test_last_bit_of_the_period_costs_one_jump(self, a, s):
+        # shrinking up to this bit would take (2^A - 1) * 2^(S-1) keystream bits
+        rng = random.Random(109 * a + s)
+        spec = make_spec(a, s)
+        key = random_key(rng, spec, s0=1)
+        last = shrunken_period(a, s) - 1
+        known = dict(submatrix_known(spec, key).items())
+        known[last] = ic_identity_bit(spec, key, last)
+        result = attack(AttackInput(spec, KnownBits(known)))
+        assert ShrinkingKey(result.sra_state, result.srs_state) == key
+        known[last] ^= 1
+        with pytest.raises(InterceptedDataError, match=f"at position {last}$"):
+            attack(AttackInput(spec, KnownBits(known)))
 
 
 @st.composite

@@ -1,13 +1,18 @@
 """Command-line behavior: verbs, exit codes, round trips, determinism."""
 
+import io
 import random
 import shlex
+from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import KAT_PA, KAT_PS, KAT_SRA, KAT_SRS, PRIMITIVE_POLYS, make_spec, random_key
-from shrinkgen import shrink, shrunken_period
+from shrinkgen import KnownBits, LfsrState, ShrinkingKey, shrink, shrunken_period
 from shrinkgen.cli import run
 
 
@@ -126,6 +131,73 @@ class TestAttackVerb:
         _, first, _ = invoke(capsys, "attack", "--pa", KAT_PA, "--ps", KAT_PS, "--known", known_file)
         _, second, _ = invoke(capsys, "attack", "--pa", KAT_PA, "--ps", KAT_PS, "--known", known_file)
         assert first == second
+
+
+@lru_cache(maxsize=None)
+def period_keystream(a, s, sra, srs):
+    """One keystream period of the size-(a, s) generator under the key given as bit strings."""
+    key = ShrinkingKey(LfsrState.parse(sra), LfsrState.parse(srs))
+    return shrink(make_spec(a, s), key, shrunken_period(a, s))
+
+
+FUZZ_RNG = random.Random(113)
+FUZZ_KEYS = {size: [random_key(FUZZ_RNG, make_spec(*size), s0=s0) for s0 in (1, 1, 0)]
+             for size in [(5, 3), (12, 7)]}
+
+JUNK_LINES = st.one_of(
+    st.binary(max_size=12),
+    st.sampled_from([b"", b"# note", b"7", b"1 1 1", b"x 1", b"3 2", b"-1 0", b"0x1f 1", b"\xff"]),
+    st.builds(lambda p, b: f"{p} {b}".encode(), st.integers(-3, 1 << 19), st.integers(-1, 2)),
+)
+
+
+@st.composite
+def known_files(draw):
+    """A known-bits file: the corner with maybe a cell dropped, far bits anywhere in the
+    period, maybe a bit or two flipped, and maybe malformed lines inserted anywhere."""
+    size = draw(st.sampled_from(sorted(FUZZ_KEYS)))
+    key = draw(st.sampled_from(FUZZ_KEYS[size]))
+    z = period_keystream(*size, str(key.sra_state), str(key.srs_state))
+    a, s = size
+    cols = 1 << (s - 1)
+    corner = sorted(n * cols + j for n in range(a) for j in range(s))
+    dropped = draw(st.sets(st.sampled_from(corner), max_size=1)) if draw(st.booleans()) else set()
+    far = draw(st.sets(st.integers(0, len(z) - 1), max_size=6))
+    positions = sorted(set(corner) - dropped | far)
+    flipped = draw(st.sets(st.sampled_from(positions), max_size=2)) if draw(st.booleans()) else set()
+    if far and draw(st.booleans()):
+        flipped.add(draw(st.sampled_from(sorted(far))))
+    lines = [f"{p} {z[p] ^ (p in flipped)}".encode() for p in positions]
+    if draw(st.booleans()):
+        for at, junk in draw(st.lists(st.tuples(st.integers(0, len(lines)), JUNK_LINES), max_size=3)):
+            lines.insert(at, junk)
+    return size, b"\n".join(lines) + b"\n"
+
+
+class TestAttackKnownFileFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(case=known_files())
+    def test_exit_code_contract(self, tmp_path_factory, case):
+        # exit 0 prints a key that regenerates every known bit; 1 and 2 print one stderr line
+        (a, s), data = case
+        path = tmp_path_factory.getbasetemp() / "fuzz-known.txt"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["attack", "--pa", PRIMITIVE_POLYS[a], "--ps", PRIMITIVE_POLYS[s],
+                        "--known", str(path)])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            assert len(err.splitlines()) == 1
+        else:
+            assert err == ""
+            fields = dict(line.split("=", 1) for line in out.splitlines())
+            z = period_keystream(a, s, fields["sra_state"], fields["srs_state"])
+            known = KnownBits.parse(path.read_text(encoding="ascii"))
+            assert all(z[p] == bit for p, bit in known.items())
 
 
 class TestBruteVerb:
