@@ -2,8 +2,8 @@
 
 Simulates the two-register shrinking generator, exposes the interleaved
 structure of its keystream, and recovers both register initial states from
-a handful of well-placed intercepted bits, with an exhaustive-search oracle
-for cross-validation.
+a handful of well-placed intercepted bits, with an exact key enumerator
+(guess the selector state, solve for the data register) for cross-validation.
 """
 
 from .attack import (

@@ -9,8 +9,8 @@ o_j the position of the (j+1)-th 1 in the selector sequence, by trying
 o = o_{j-1}+1 .. o_{j-1}+S, each window one multiply by x^inv past the last and
 read one multiply by x per row up to its first mismatch, until an offset
 reaches S - 1, which settles all S selector bits.  The corner columns left
-unmatched are read the same way.  Last, every known bit is read from the
-recovered key by jumps on P_A, so no keystream is generated.
+unmatched are read the same way.  Last, every known bit outside the corner is
+read from the recovered key by jumps on P_A, so no keystream is generated.
 
 Keys come out in canonical form (selector state starting with 1): a key whose
 selector starts with 0 yields its shift-equivalent canonical key, which
@@ -22,14 +22,16 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, product
+from typing import Iterable
 
 from .errors import InconsistentDataError, InsufficientInputError, UnsupportedSizeError
-from .gf2 import BinaryPolynomial, _mulmod, _xpow, mod_inverse
-from .generator import SgSpec, ShrinkingKey, column_poly, shrink
+from .gf2 import BinaryPolynomial, _mulmod, _solve, _xpow, mod_inverse
+from .generator import SgSpec, ShrinkingKey, column_poly
 from .interleaved import InterleavedConfig, KnownBits, OffsetVector, build_ic
 from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_generate, lfsr_stream
 
-# Cap on A + S for the exhaustive-search oracle.
+# brute_force enumerates at most 2^(BRUTE_FORCE_MAX_BITS - 1) keys: S - 1 guessed
+# selector bits plus A - rank free data bits.
 BRUTE_FORCE_MAX_BITS = 24
 
 
@@ -154,6 +156,11 @@ def _srs_phase(
     return LfsrState(bits), OffsetVector(tuple(offsets)), comparisons, bits_read
 
 
+def _ones(spec: SgSpec, srs: LfsrState):
+    """Positions o_0, o_1, ... of the 1s in the selector sequence from state srs."""
+    return (t for t, bit in enumerate(lfsr_stream(spec.srs, srs)) if bit)
+
+
 def _check_corner(ic: InterleavedConfig, c0: int, pd: BinaryPolynomial, step: int,
                   spec: SgSpec, srs: LfsrState, offsets: OffsetVector) -> None:
     """Check the corner columns phase two did not match against the recovered key.
@@ -163,9 +170,8 @@ def _check_corner(ic: InterleavedConfig, c0: int, pd: BinaryPolynomial, step: in
     the same window reads as phase two, before the regeneration check.
     """
     a, s, m = pd.degree, spec.s_length, pd.mask
-    ones = (t for t, bit in enumerate(lfsr_stream(spec.srs, srs)) if bit)
     jump, at = 1, 0  # x^(at * inv) mod P_D
-    for j, o in islice(enumerate(ones), 1, s):
+    for j, o in islice(enumerate(_ones(spec, srs)), 1, s):
         if o in offsets.offsets[j:j + 1]:
             continue  # phase two matched column j at this offset
         for _ in range(o - at):
@@ -204,24 +210,26 @@ def recover_srs(
     return _srs_phase(ic, _column_mask(d0[:a]), pd, _row_step(pd, a, s), s)[:2]
 
 
-def _check_regeneration(spec: SgSpec, key: ShrinkingKey, known: KnownBits) -> None:
-    """Check every known bit against the key without generating keystream.
+def _check_regeneration(spec: SgSpec, key: ShrinkingKey, known: Iterable[tuple[int, int]]) -> None:
+    """Check known (position, bit) pairs, ascending, against the key without generating keystream.
 
     Keystream bit n * 2^(S-1) + j is data bit t = (n * (2^S - 1) + o_j) mod
     (2^A - 1), o_j the position of the (j+1)-th 1 in the selector sequence,
-    and data bit t is parity((x^t mod P_A) & c), c the data state.  A bit one
-    row below its column's previous known bit is one multiply by
-    x^(2^S - 1) away; any other bit is one fresh jump.
+    and data bit t is parity((x^t mod P_A) & c), c the data state.  The
+    selector runs only as far as the highest column met.  A bit one row below
+    its column's previous known bit is one multiply by x^(2^S - 1) away; any
+    other bit is one fresh jump.
     """
     a, s, m = spec.a_length, spec.s_length, spec.pa.mask
     cols, rows, ratio = 1 << (s - 1), (1 << a) - 1, (1 << s) - 1
-    ones = (t for t, bit in enumerate(lfsr_stream(spec.srs, key.srs_state)) if bit)
-    offsets = list(islice(ones, max((pos % cols for pos in known.positions()), default=-1) + 1))
+    ones, offsets = _ones(spec, key.srs_state), []
     c = sum(b << i for i, b in enumerate(key.sra_state.bits))
     step = _xpow(ratio, m)
     last = {}  # column j -> (row, x^t mod P_A) of its previous known bit
-    for pos, bit in known.items():
+    for pos, bit in known:
         n, j = divmod(pos, cols)
+        while len(offsets) <= j:
+            offsets.append(next(ones))
         row, jump = last.get(j, (-2, 0))
         if n == row + 1:
             jump = _mulmod(jump, step, m)
@@ -232,6 +240,12 @@ def _check_regeneration(spec: SgSpec, key: ShrinkingKey, known: KnownBits) -> No
             raise InconsistentDataError(
                 f"recovered key disagrees with the known bit at position {pos}"
             )
+
+
+def _outside_corner(known: KnownBits, a: int, s: int) -> Iterable[tuple[int, int]]:
+    """The known bits outside the A x S corner; the phases and _check_corner match the corner."""
+    cols = 1 << (s - 1)
+    return ((pos, bit) for pos, bit in known.items() if pos // cols >= a or pos % cols >= s)
 
 
 @contextmanager
@@ -270,36 +284,54 @@ def attack(attack_input: AttackInput) -> AttackResult:
         srs, offsets, comparisons, bits_read = _srs_phase(ic, c0, pd, step, s)
     with _phase("regeneration-check"):
         _check_corner(ic, c0, pd, step, spec, srs, offsets)
-        _check_regeneration(spec, ShrinkingKey(sra, srs), attack_input.known)
+        _check_regeneration(spec, ShrinkingKey(sra, srs), _outside_corner(attack_input.known, a, s))
     work = WorkCounters(comparisons=comparisons, column_bits_expanded=a + bits_read)
     return AttackResult(sra, srs, offsets, npos, pd, work)
 
 
 def brute_force(attack_input: AttackInput) -> list[ShrinkingKey]:
-    """All canonical keys consistent with every known bit, by exhaustive search.
+    """All canonical keys consistent with every known bit, by guessing the selector and solving.
 
-    Candidates are the (2^A - 1) * 2^(S-1) pairs of a nonzero data state and
-    a selector state whose first bit is 1, enumerated in ascending bit-string
-    order, so the result is deterministic.
+    For each of the 2^(S-1) selector states whose first bit is 1, the selector
+    runs only as far as the offsets o_j of the highest known column, and known
+    bit n * 2^(S-1) + j becomes the GF(2) equation parity((x^t mod P_A) & c) =
+    bit in the data state c, t = n(2^S - 1) + o_j.  A guess whose equations
+    contradict each other gives no key; otherwise every one of its 2^(A - rank)
+    solutions except c = 0 is a key.  Keys come out sorted by their data-state
+    and then selector-state bit strings, so the result is deterministic.
+    Raises UnsupportedSizeError when (S - 1) + (A - rank) exceeds
+    BRUTE_FORCE_MAX_BITS - 1 for some guess.
     """
     spec = attack_input.spec
-    a, s = spec.a_length, spec.s_length
-    if a + s > BRUTE_FORCE_MAX_BITS:
+    a, s, m = spec.a_length, spec.s_length, spec.pa.mask
+    budget, cols, rows, ratio = BRUTE_FORCE_MAX_BITS - 1, 1 << (s - 1), (1 << a) - 1, (1 << s) - 1
+    if s - 1 > budget:
         raise UnsupportedSizeError(
-            f"A + S = {a + s} exceeds the exhaustive-search budget ({BRUTE_FORCE_MAX_BITS})"
+            f"S - 1 = {s - 1} guessed selector bits exceed the exhaustive-search budget ({budget})"
         )
-    known = dict(attack_input.known.items())
-    need = max(known) + 1 if known else 0
-    matches = []
-    for a_bits in product((0, 1), repeat=a):
-        if not any(a_bits):
+    known = [(*divmod(pos, cols), bit) for pos, bit in attack_input.known.items()]
+    row_jump = {n: _xpow(n * ratio % rows, m) for n in {n for n, _, _ in known}}  # x^(n(2^S - 1))
+    offset_jump = [1]  # x^o mod P_A, grown as far as the guesses' offsets reach
+    width = max((j for _, j, _ in known), default=-1) + 1
+    found = []
+    for rest in product((0, 1), repeat=s - 1):
+        srs = (1,) + rest
+        offsets = list(islice(_ones(spec, LfsrState(srs)), width))
+        while len(offset_jump) <= max(offsets, default=0):
+            offset_jump.append(_mulmod(offset_jump[-1], 2, m))
+        space = _solve(((_mulmod(row_jump[n], offset_jump[offsets[j]], m), bit)
+                        for n, j, bit in known), a)
+        if space is None:
             continue
-        for s_rest in product((0, 1), repeat=s - 1):
-            key = ShrinkingKey(LfsrState(a_bits), LfsrState((1,) + s_rest))
-            if not need:
-                matches.append(key)
-                continue
-            ks = shrink(spec, key, need)
-            if all(ks[pos] == bit for pos, bit in known.items()):
-                matches.append(key)
-    return matches
+        c, basis = space
+        if s - 1 + len(basis) > budget:
+            raise UnsupportedSizeError(
+                f"(S - 1) + (A - rank) = {s - 1 + len(basis)} key bits to enumerate exceed "
+                f"the exhaustive-search budget ({budget})"
+            )
+        for i in range(1 << len(basis)):
+            if i:  # Gray code: one xor per solution
+                c ^= basis[(i & -i).bit_length() - 1]
+            if c:
+                found.append((tuple(c >> k & 1 for k in range(a)), srs))
+    return [ShrinkingKey(LfsrState(sra), LfsrState(srs)) for sra, srs in sorted(found)]

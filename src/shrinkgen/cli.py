@@ -75,7 +75,8 @@ def _build_parser() -> _Parser:
     _add_spec_flags(atk)
     _add_intercept_flags(atk)
 
-    bru = sub.add_parser("brute", help="exhaustive-search oracle over all canonical keys")
+    bru = sub.add_parser("brute", help="every canonical key consistent with the intercepted bits, "
+                                       "by guessing the selector and solving for the data register")
     _add_spec_flags(bru)
     _add_intercept_flags(bru)
 

@@ -162,6 +162,34 @@ def _xpow(k: int, m: int) -> int:
     return result
 
 
+def _solve(rows: Iterable[tuple[int, int]], n: int) -> tuple[int, list[int]] | None:
+    """Solve parity(mask & c) = bit for an n-bit mask c by Gauss-Jordan elimination.
+
+    Reads the (mask, bit) rows lazily and returns None at the first one that
+    contradicts the rows before it.  Otherwise returns (c0, basis): the
+    solutions are c0 xor every sum of basis vectors, one per free bit, so the
+    rank is n - len(basis).
+    """
+    pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> row, free of every other pivot bit
+    for mask, bit in rows:
+        for p, (pmask, pbit) in pivots.items():
+            if mask >> p & 1:
+                mask, bit = mask ^ pmask, bit ^ pbit
+        if not mask:
+            if bit:
+                return None
+            continue
+        p = mask.bit_length() - 1
+        for q, (qmask, qbit) in pivots.items():
+            if qmask >> p & 1:
+                pivots[q] = qmask ^ mask, qbit ^ bit
+        pivots[p] = mask, bit
+    c0 = sum(bit << p for p, (_, bit) in pivots.items())
+    basis = [(1 << f) | sum(1 << p for p, (mask, _) in pivots.items() if mask >> f & 1)
+             for f in range(n) if f not in pivots]
+    return c0, basis
+
+
 @lru_cache(maxsize=None)
 def poly_is_primitive(p: BinaryPolynomial) -> bool:
     """True iff p is primitive over GF(2): irreducible with x of maximal order.

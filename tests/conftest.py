@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import oracles
 from shrinkgen import (
+    AttackInput,
     BinaryPolynomial,
     KnownBits,
     LfsrState,
@@ -84,6 +86,13 @@ def submatrix_known(spec: SgSpec, key: ShrinkingKey) -> KnownBits:
     cols = 1 << (s - 1)
     z = shrink(spec, key, (a - 1) * cols + s)
     return KnownBits({n * cols + j: z[n * cols + j] for n in range(a) for j in range(s)})
+
+
+def oracle_keys(attack_input: AttackInput) -> list[ShrinkingKey]:
+    """Every canonical key consistent with the known bits, from `oracles.exhaustive_keys`."""
+    pa, ps = (oracles.mask_to_list(p.mask) for p in (attack_input.spec.pa, attack_input.spec.ps))
+    keys = oracles.exhaustive_keys(pa, ps, dict(attack_input.known.items()))
+    return [ShrinkingKey(LfsrState(sra), LfsrState(srs)) for sra, srs in keys]
 
 
 @pytest.fixture(scope="session")

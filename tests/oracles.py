@@ -6,6 +6,9 @@ LFSRs run their recurrence by direct list indexing, orders are found by
 iterated multiplication, and periods by scanning divisors.
 """
 
+from functools import lru_cache
+from itertools import product
+
 
 def mask_to_list(mask):
     """Coefficient list (index k = coefficient of x^k) for an integer mask."""
@@ -133,3 +136,38 @@ def solve_scaled_congruence(ratio, target, mod):
 def one_positions(bits):
     """Positions of the 1 bits, in order."""
     return [i for i, b in enumerate(bits) if b]
+
+
+@lru_cache(maxsize=None)
+def _one_period_each(charpoly):
+    """Every nonzero register state, ascending, with one period of its output sequence."""
+    runs = []
+    for state in product((0, 1), repeat=len(charpoly) - 1):
+        if any(state):
+            period = lfsr_min_period(list(charpoly), list(state))
+            runs.append((state, lfsr_run(list(charpoly), list(state), period)))
+    return runs
+
+
+def exhaustive_keys(pa, ps, known):
+    """Every canonical key whose keystream has the bits in `known`, by exhaustive search.
+
+    pa and ps are the characteristic polynomials as coefficient lists and
+    `known` maps keystream position to bit.  Candidates are the nonzero data
+    states and the selector states starting with 1.  Each register's output
+    is one period from `lfsr_run`, its length from `lfsr_min_period`, and
+    keystream bit k is the data bit at the clock of the selector's (k+1)-th
+    1.  Returns the matching (data state, selector state) bit tuples in
+    ascending order.
+    """
+    clocks = {}  # selector state -> clock of each known keystream bit
+    for srs, seq in _one_period_each(tuple(ps)):
+        if srs[0]:
+            ones = one_positions(seq)
+            clocks[srs] = {pos: pos // len(ones) * len(seq) + ones[pos % len(ones)] for pos in known}
+    keys = []
+    for sra, data in _one_period_each(tuple(pa)):
+        for srs, clock in clocks.items():
+            if all(data[clock[pos] % len(data)] == bit for pos, bit in known.items()):
+                keys.append((sra, srs))
+    return keys

@@ -1,10 +1,10 @@
-"""Two-phase key recovery, its invariants, and the exhaustive-search oracle."""
+"""Two-phase key recovery, its invariants, and key enumeration by guess-and-solve."""
 
 import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,6 +18,7 @@ from conftest import (
     KAT_SRS,
     PRIMITIVE_POLYS,
     make_spec,
+    oracle_keys,
     primitive,
     random_key,
     submatrix_known,
@@ -283,6 +284,35 @@ class TestAttack:
                 else:
                     assert len(calls) == 1
 
+    def test_regeneration_check_reads_only_bits_outside_the_corner(self, monkeypatch):
+        # the phases and the corner check have matched every corner cell, so the final
+        # check reads nothing on a corner-only input and only the far bits otherwise
+        module = sys.modules["shrinkgen.attack"]
+        check, seen = module._check_regeneration, []
+
+        def spy(spec, key, known):
+            seen.append(dict(known))
+            check(spec, key, seen[-1].items())
+
+        monkeypatch.setattr(module, "_check_regeneration", spy)
+        rng = random.Random(113)
+        for a, s in [(5, 4), (7, 3), (12, 7), (21, 8)]:
+            spec = make_spec(a, s)
+            key = random_key(rng, spec, s0=1)
+            corner = dict(submatrix_known(spec, key).items())
+            seen.clear()
+            attack(AttackInput(spec, KnownBits(corner)))
+            assert [len(known) for known in seen] == [0]
+            z = shrink(spec, key, min(shrunken_period(a, s), 4096))
+            far = {p: z[p] for p in rng.sample(sorted(set(range(len(z))) - set(corner)), 6)}
+            seen.clear()
+            attack(AttackInput(spec, KnownBits({**corner, **far})))
+            assert seen == [far]
+            flip = rng.choice(sorted(far))
+            far[flip] ^= 1
+            with pytest.raises(InconsistentDataError, match=f"known bit at position {flip}$"):
+                attack(AttackInput(spec, KnownBits({**corner, **far})))
+
     def test_offset_match_is_unique_and_cross_checked(self):
         # the scan's match is the only one among all candidates
         rng = random.Random(67)
@@ -386,11 +416,11 @@ class TestRegenerationCheck:
         for s0 in (0, 0, 1, None):
             key = random_key(rng, spec, s0=s0)
             z = shrink(spec, key, period)
-            _check_regeneration(spec, key, KnownBits.from_prefix(z))
+            _check_regeneration(spec, key, KnownBits.from_prefix(z).items())
             single = [(p,) for p in {0, period - 1} | set(rng.sample(range(period), 32))]
             pairs = [tuple(sorted(rng.sample(range(period), 2))) for _ in range(8)]
             for flips in single + pairs:
-                flipped = KnownBits.from_prefix(b ^ (i in flips) for i, b in enumerate(z))
+                flipped = KnownBits.from_prefix(b ^ (i in flips) for i, b in enumerate(z)).items()
                 message = f"^recovered key disagrees with the known bit at position {flips[0]}$"
                 with pytest.raises(InconsistentDataError, match=message):
                     _check_regeneration(spec, key, flipped)
@@ -433,12 +463,28 @@ def corners_with_flips(draw):
     return AttackInput(spec, KnownBits(known))
 
 
+@st.composite
+def sparse_intercepts(draw):
+    """Known bits of a random key at any positions up to one period + 40, zero to two flipped."""
+    a, s = draw(st.sampled_from([(5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (7, 5)]))
+    spec = make_spec(a, s)
+    sra = draw(st.lists(st.integers(0, 1), min_size=a, max_size=a).filter(any))
+    srs = draw(st.lists(st.integers(0, 1), min_size=s, max_size=s).filter(any))
+    end = shrunken_period(a, s) + 40
+    positions = draw(st.lists(st.integers(0, end), max_size=a * s + 3, unique=True))
+    z = shrink(spec, ShrinkingKey(LfsrState(tuple(sra)), LfsrState(tuple(srs))), end + 1)
+    known = {p: z[p] for p in positions}
+    for p in draw(st.lists(st.sampled_from(positions), max_size=2, unique=True)) if positions else ():
+        known[p] ^= 1
+    return AttackInput(spec, KnownBits(known))
+
+
 class TestContract:
     @settings(max_examples=150, deadline=None)
     @given(corners_with_flips())
     def test_attack_agrees_with_exhaustive_search(self, attack_input):
         # a key that regenerates every known bit is returned exactly; with none, the attack refuses
-        keys = brute_force(attack_input)
+        keys = oracle_keys(attack_input)
         try:
             result = attack(attack_input)
         except InterceptedDataError:
@@ -486,4 +532,33 @@ class TestBruteForce:
                 known = submatrix_known(spec, key)
                 result = attack(AttackInput(spec, known))
                 keys = brute_force(AttackInput(spec, known))
+                assert keys == oracle_keys(AttackInput(spec, known))
                 assert keys == [ShrinkingKey(result.sra_state, result.srs_state)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_intercepts())
+    @example(AttackInput(make_spec(7, 5), KnownBits({})))
+    def test_matches_exhaustive_search(self, attack_input):
+        assert brute_force(attack_input) == oracle_keys(attack_input)
+
+    @pytest.mark.parametrize("a,s", [(21, 5), (21, 8), (31, 3)])
+    def test_whole_corner_at_benchmark_sizes(self, a, s):
+        # a whole corner has rank A under every selector guess, so nothing is left to enumerate
+        rng = random.Random(127 * a + s)
+        spec = make_spec(a, s)
+        known = dict(submatrix_known(spec, random_key(rng, spec)).items())
+        result = attack(AttackInput(spec, KnownBits(known)))
+        keys = brute_force(AttackInput(spec, KnownBits(known)))
+        assert keys == [ShrinkingKey(result.sra_state, result.srs_state)]
+        known[rng.choice(sorted(known))] ^= 1
+        assert brute_force(AttackInput(spec, KnownBits(known))) == []
+        with pytest.raises(InterceptedDataError):
+            attack(AttackInput(spec, KnownBits(known)))
+
+    def test_budget_counts_free_bits_after_solving(self):
+        # nine column-0 cells at (31,3) have rank 9, leaving 2 selector bits plus 22 free data bits
+        spec = make_spec(31, 3)
+        known = submatrix_known(spec, random_key(random.Random(131), spec))
+        column = KnownBits({p: b for p, b in known.items() if p % 4 == 0 and p < 4 * 9})
+        with pytest.raises(UnsupportedSizeError, match=r"^\(S - 1\) \+ \(A - rank\) = 24 .*\(23\)$"):
+            brute_force(AttackInput(spec, column))

@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KAT_PA, KAT_PS, KAT_SRA, KAT_SRS, PRIMITIVE_POLYS, make_spec, random_key
+from conftest import (
+    KAT_PA,
+    KAT_PS,
+    KAT_SRA,
+    KAT_SRS,
+    PRIMITIVE_POLYS,
+    make_spec,
+    random_key,
+    submatrix_known,
+)
 from shrinkgen import KnownBits, LfsrState, ShrinkingKey, shrink, shrunken_period
 from shrinkgen.cli import run
 
@@ -205,6 +214,25 @@ class TestBruteVerb:
         code, out, _ = invoke(capsys, "brute", "--pa", KAT_PA, "--ps", KAT_PS, "--known", known_file)
         assert code == 0
         assert out == "sra_state=10011 srs_state=1101\n"
+
+    def test_whole_corner_at_a_21(self, capsys, tmp_path):
+        spec = make_spec(21, 5)
+        key = random_key(random.Random(137), spec, s0=1)
+        path = tmp_path / "corner.txt"
+        path.write_text("".join(f"{p} {b}\n" for p, b in submatrix_known(spec, key).items()))
+        code, out, err = invoke(capsys, "brute", "--pa", PRIMITIVE_POLYS[21], "--ps", PRIMITIVE_POLYS[5],
+                                "--known", str(path))
+        assert (code, err) == (0, "")
+        assert out == f"sra_state={key.sra_state} srs_state={key.srs_state}\n"
+
+    def test_over_budget_exits_1(self, capsys, tmp_path):
+        # one known bit leaves 4 selector bits plus 20 free data bits, over the budget of 23
+        path = tmp_path / "one.txt"
+        path.write_text("0 1\n")
+        code, out, err = invoke(capsys, "brute", "--pa", PRIMITIVE_POLYS[21], "--ps", PRIMITIVE_POLYS[5],
+                                "--known", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("(23)\n")
 
 
 class TestAnalyzeVerb:
