@@ -14,7 +14,6 @@ from .attack import (
     attack,
     brute_force,
     extend_column,
-    recover_sra,
     recover_srs,
     row_positions,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "measure_shrunken_period",
     "mod_inverse",
     "poly_is_primitive",
-    "recover_sra",
     "recover_srs",
     "row_positions",
     "shrink",

@@ -1,16 +1,16 @@
 """Deterministic key recovery from a corner of the interleaved configuration.
 
-Every IC column is one PN-sequence under the column polynomial P_D, so cell t
-of the first column is parity((x^t mod P_D) & c0), c0 holding its A known
-cells; each read is a jump and no column is ever built out.  Phase one reads
-data bit a_i at row n_i = i * inv, inv = (2^S - 1)^(-1) mod (2^A - 1), one
-multiply by x^inv mod P_D per row.  Phase two finds column j's shift o_j * inv,
-o_j the position of the (j+1)-th 1 in the selector sequence, by trying
-o = o_{j-1}+1 .. o_{j-1}+S, each window one multiply by x^inv past the last and
-read one multiply by x per row up to its first mismatch, until an offset
-reaches S - 1, which settles all S selector bits.  The corner columns left
-unmatched are read the same way.  Last, every known bit outside the corner is
-read from the recovered key by jumps on P_A, so no keystream is generated.
+IC cell (n, j) is data bit t = n(2^S - 1) + o_j, o_j the position of the
+(j+1)-th 1 in the selector sequence, so every intercepted bit is one GF(2)
+equation in the data state: cell (n, j) = parity(R_n & c_{o_j}), where
+R_n = x^(n(2^S - 1)) mod P_A and c_o is the data state clocked o times.
+Phase one solves the A column-0 equations for the data state.  Phase two
+finds column j's offset by trying o = o_{j-1}+1 .. o_{j-1}+S, one clock each,
+each row one AND and a parity up to its first mismatch, until an offset
+reaches S - 1, which settles all S selector bits.  Last, every known bit is
+read from the recovered key in ascending position, so no keystream is
+generated and no column is built out.  The column polynomial P_D is computed
+only for the result.
 
 Keys come out in canonical form (selector state starting with 1): a key whose
 selector starts with 0 yields its shift-equivalent canonical key, which
@@ -22,12 +22,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InconsistentDataError, InsufficientInputError, UnsupportedSizeError
 from .gf2 import BinaryPolynomial, _mulmod, _solve, _xpow, mod_inverse
 from .generator import SgSpec, ShrinkingKey, column_poly
-from .interleaved import InterleavedConfig, KnownBits, OffsetVector, build_ic
+from .interleaved import KnownBits, OffsetVector
 from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_generate, lfsr_stream
 
 # brute_force enumerates at most 2^(BRUTE_FORCE_MAX_BITS - 1) keys: S - 1 guessed
@@ -91,61 +91,91 @@ def extend_column(colbits, pd: BinaryPolynomial) -> BitSequence:
     return lfsr_generate(spec, LfsrState(bits), spec.period)
 
 
-def _column_cells(ic: InterleavedConfig, j: int, a: int) -> list[int]:
-    cells = [ic.cell(n, j) for n in range(a)]
-    missing = [n for n, c in enumerate(cells) if c is None]
+class _Reader:
+    """IC cells of one spec read on P_A: cell (n, j) = parity(R_n & c_{o_j}).
+
+    Data bit o + u is parity((x^u mod P_A) & c_o), c_o the data state (bit i
+    = a_{o+i}) clocked o times, and cell (n, j) is data bit n(2^S - 1) + o_j.
+    As an equation in an unknown data state c, the same cell has the mask
+    R_n * x^(o_j) mod P_A.
+    """
+
+    def __init__(self, spec: SgSpec):
+        a, s, m = spec.a_length, spec.s_length, spec.pa.mask
+        self.spec, self.m, self.cols = spec, m, 1 << (s - 1)
+        self.ratio, self.period = (1 << s) - 1, (1 << a) - 1
+        self.taps, self.top = m ^ (1 << a), a - 1
+        self.step = _xpow(self.ratio, m)  # x^(2^S - 1) mod P_A: one row down
+        self.rows = [1]  # R_0 .. R_{A-1}
+        for _ in range(a - 1):
+            self.rows.append(_mulmod(self.rows[-1], self.step, m))
+
+    def clock(self, c: int) -> int:
+        """c_{o+1} from c_o."""
+        return (c >> 1) | (((c & self.taps).bit_count() & 1) << self.top)
+
+    def cells(self, known: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, int, int]]:
+        """(pos, j, bit, R_n) per known (pos, bit) pair, ascending; pos is cell (n, j).
+
+        Rows below A come from the table; any other row is one multiply from
+        row n - 1 if that was the previous row read, else one jump.  R_n is
+        periodic in n, so positions past one keystream period read as well.
+        """
+        last, row = -1, 0
+        for pos, bit in known:
+            n, j = divmod(pos, self.cols)
+            if n != last:
+                if n < len(self.rows):
+                    row = self.rows[n]
+                elif n == last + 1:
+                    row = _mulmod(row, self.step, self.m)
+                else:
+                    row = _xpow(n * self.ratio % self.period, self.m)
+                last = n
+            yield pos, j, bit, row
+
+
+def _corner(attack_input: AttackInput) -> dict[int, int]:
+    """The known bits by position, once every A x S corner cell is among them."""
+    known = dict(attack_input.known.items())
+    a, s = attack_input.spec.a_length, attack_input.spec.s_length
+    cols = 1 << (s - 1)
+    missing = [(n, j) for n in range(a) for j in range(s) if n * cols + j not in known]
     if missing:
-        raise InsufficientInputError(f"column {j} is missing rows {missing}")
-    return cells
+        raise InsufficientInputError(
+            f"missing {len(missing)} of the required top-left {a}x{s} cells: {missing[:8]}"
+        )
+    return known
 
 
-def _column_mask(cells) -> int:
-    """The first column's A known cells as a mask, bit i = cell (i, 0)."""
-    c0 = sum(int(b) << i for i, b in enumerate(cells))
-    if not c0:
+def _solve_data_state(reader: _Reader, known: dict[int, int]) -> int:
+    """Phase one: the data state from the A column-0 equations (R_n, cell (n, 0)).
+
+    P_D, the minimal polynomial of x^(2^S - 1), has degree A, so the masks
+    R_0 .. R_{A-1} are independent and the solution is unique.
+    """
+    cells = [known[n * reader.cols] for n in range(len(reader.rows))]
+    if not any(cells):
         raise InconsistentDataError("a genuine column never contains an all-zero window")
-    return c0
-
-
-def _row_step(pd: BinaryPolynomial, a: int, s: int) -> int:
-    """x^inv mod P_D: the jump from row n_i of a column to row n_{i+1}."""
-    return _xpow(mod_inverse((1 << s) - 1, (1 << a) - 1), pd.mask)
-
-
-def _sra_phase(c0: int, pd: BinaryPolynomial, step: int) -> LfsrState:
-    bits, jump = [], 1  # jump = x^(n_i) mod P_D
-    for _ in range(pd.degree):
-        bits.append((jump & c0).bit_count() & 1)
-        jump = _mulmod(jump, step, pd.mask)
-    if not any(bits):
-        raise InconsistentDataError("recovered an all-zero data-register state")
-    return LfsrState(tuple(bits))
-
-
-def _rows_agreeing(window: int, col, c0: int, m: int) -> int:
-    """Rows of col that the column read from `window` = x^t mod P_D matches before a mismatch."""
-    for n, cell in enumerate(col):
-        if (window & c0).bit_count() & 1 != cell:
-            return n
-        window = _mulmod(window, 2, m)  # one row down
-    return len(col)
+    return _solve(zip(reader.rows, cells), len(cells))[0]
 
 
 def _srs_phase(
-    ic: InterleavedConfig, c0: int, pd: BinaryPolynomial, step: int, s: int
+    reader: _Reader, known: dict[int, int], c: int
 ) -> tuple[LfsrState, OffsetVector, int, int]:
     """Selector state, offsets, candidate offsets tried and window bits compared."""
-    a, m = pd.degree, pd.mask
+    s, a = reader.spec.s_length, len(reader.rows)
     offsets, comparisons, bits_read = [0], 0, 0
-    jump = step  # x^(o * inv) mod P_D for the next candidate o
     while offsets[-1] < s - 1:
         # A selector sequence never runs S zeros: column j starts at most S past column j-1.
         j, last = len(offsets), offsets[-1] + s
-        col = _column_cells(ic, j, a)
+        col = [known[n * reader.cols + j] for n in range(a)]
         for o in range(offsets[-1] + 1, last + 1):
             comparisons += 1
-            window, jump = jump, _mulmod(jump, step, m)
-            rows = _rows_agreeing(window, col, c0, m)
+            c = reader.clock(c)  # c_o
+            # rows of column j matched before the first mismatch
+            rows = next((n for n, (row, cell) in enumerate(zip(reader.rows, col))
+                         if (row & c).bit_count() & 1 != cell), a)
             bits_read += min(rows + 1, a)  # the mismatching cell is compared too
             if rows == a:
                 offsets.append(o)
@@ -161,41 +191,14 @@ def _ones(spec: SgSpec, srs: LfsrState):
     return (t for t, bit in enumerate(lfsr_stream(spec.srs, srs)) if bit)
 
 
-def _check_corner(ic: InterleavedConfig, c0: int, pd: BinaryPolynomial, step: int,
-                  spec: SgSpec, srs: LfsrState, offsets: OffsetVector) -> None:
-    """Check the corner columns phase two did not match against the recovered key.
-
-    Column j starts at x^(o_j * inv), o_j the position of the (j+1)-th 1 in
-    the key's selector sequence, so a corrupted corner cell is caught by
-    the same window reads as phase two, before the regeneration check.
-    """
-    a, s, m = pd.degree, spec.s_length, pd.mask
-    jump, at = 1, 0  # x^(at * inv) mod P_D
-    for j, o in islice(enumerate(_ones(spec, srs)), 1, s):
-        if o in offsets.offsets[j:j + 1]:
-            continue  # phase two matched column j at this offset
-        for _ in range(o - at):
-            jump = _mulmod(jump, step, m)
-        at, rows = o, _rows_agreeing(jump, _column_cells(ic, j, a), c0, m)
-        if rows < a:
-            raise InconsistentDataError(
-                f"recovered key disagrees with the known bit at position {(rows << (s - 1)) + j}"
-            )
-
-
-def recover_sra(attack_input: AttackInput) -> LfsrState:
-    """Phase one: read the data-register state off the first column by jumps."""
-    spec = attack_input.spec
-    a, s = spec.a_length, spec.s_length
-    ic = build_ic(attack_input.known, a, s)
-    pd = column_poly(spec)
-    return _sra_phase(_column_mask(_column_cells(ic, 0, a)), pd, _row_step(pd, a, s))
+def _state_mask(state: LfsrState) -> int:
+    return sum(b << i for i, b in enumerate(state.bits))
 
 
 def recover_srs(
     attack_input: AttackInput, d0: BitSequence, sra: LfsrState
 ) -> tuple[LfsrState, OffsetVector]:
-    """Phase two: align later columns against the first column d0 (only d0[:A] is read)."""
+    """Phase two from the data state sra; d0 is the full first column sra was read from."""
     spec = attack_input.spec
     a, s = spec.a_length, spec.s_length
     rows = (1 << a) - 1
@@ -205,47 +208,29 @@ def recover_srs(
         raise ValueError(f"data-register state needs {a} bits")
     if tuple(d0[n] for n in row_positions(a, s)) != sra.bits:
         raise ValueError("d0 and the recovered data-register state disagree")
-    ic = build_ic(attack_input.known, a, s)
-    pd = column_poly(spec)
-    return _srs_phase(ic, _column_mask(d0[:a]), pd, _row_step(pd, a, s), s)[:2]
+    return _srs_phase(_Reader(spec), _corner(attack_input), _state_mask(sra))[:2]
 
 
-def _check_regeneration(spec: SgSpec, key: ShrinkingKey, known: Iterable[tuple[int, int]]) -> None:
+def _check_regeneration(reader: _Reader, key: ShrinkingKey, known: Iterable[tuple[int, int]]) -> None:
     """Check known (position, bit) pairs, ascending, against the key without generating keystream.
 
-    Keystream bit n * 2^(S-1) + j is data bit t = (n * (2^S - 1) + o_j) mod
-    (2^A - 1), o_j the position of the (j+1)-th 1 in the selector sequence,
-    and data bit t is parity((x^t mod P_A) & c), c the data state.  The
-    selector runs only as far as the highest column met.  A bit one row below
-    its column's previous known bit is one multiply by x^(2^S - 1) away; any
-    other bit is one fresh jump.
+    Each bit is one AND and a parity: cell (n, j) = parity(R_n & c_{o_j}).
+    The selector runs, and the data state is clocked, only as far as the
+    offset o_j of the highest column met.
     """
-    a, s, m = spec.a_length, spec.s_length, spec.pa.mask
-    cols, rows, ratio = 1 << (s - 1), (1 << a) - 1, (1 << s) - 1
-    ones, offsets = _ones(spec, key.srs_state), []
-    c = sum(b << i for i, b in enumerate(key.sra_state.bits))
-    step = _xpow(ratio, m)
-    last = {}  # column j -> (row, x^t mod P_A) of its previous known bit
-    for pos, bit in known:
-        n, j = divmod(pos, cols)
-        while len(offsets) <= j:
-            offsets.append(next(ones))
-        row, jump = last.get(j, (-2, 0))
-        if n == row + 1:
-            jump = _mulmod(jump, step, m)
-        else:
-            jump = _xpow((n * ratio + offsets[j]) % rows, m)
-        last[j] = n, jump
-        if (jump & c).bit_count() & 1 != bit:
+    c, o, states = _state_mask(key.sra_state), 0, []  # states[j] = c_{o_j}
+    ones = _ones(reader.spec, key.srs_state)
+    for pos, j, bit, row in reader.cells(known):
+        while len(states) <= j:
+            o_j = next(ones)
+            for _ in range(o_j - o):
+                c = reader.clock(c)
+            o = o_j
+            states.append(c)
+        if (row & states[j]).bit_count() & 1 != bit:
             raise InconsistentDataError(
                 f"recovered key disagrees with the known bit at position {pos}"
             )
-
-
-def _outside_corner(known: KnownBits, a: int, s: int) -> Iterable[tuple[int, int]]:
-    """The known bits outside the A x S corner; the phases and _check_corner match the corner."""
-    cols = 1 << (s - 1)
-    return ((pos, bit) for pos, bit in known.items() if pos // cols >= a or pos % cols >= s)
 
 
 @contextmanager
@@ -260,31 +245,26 @@ def attack(attack_input: AttackInput) -> AttackResult:
     """Run both phases, then check the recovered key regenerates every known bit.
 
     Needs the A x S top-left IC cells, i.e. keystream positions
-    n * 2^(S-1) + j for n < A, j < S; any further known bits only feed the
-    final check, which reads each from the key by one multiply or one jump
-    on P_A, so a far position costs no more than a near one.
+    n * 2^(S-1) + j for n < A, j < S.  Any further known bits, at any
+    position, only feed the final check, which reads each from the key by
+    one AND, plus one multiply or one jump on P_A per row, so a far position
+    costs no more than a near one.
     """
     spec = attack_input.spec
     a, s = spec.a_length, spec.s_length
-    ic = build_ic(attack_input.known, a, s)
-    missing = [(n, j) for n in range(a) for j in range(s) if ic.cell(n, j) is None]
-    if missing:
-        raise InsufficientInputError(
-            f"missing {len(missing)} of the required top-left {a}x{s} cells: {missing[:8]}"
-        )
-    with _phase("column-poly"):
-        pd = column_poly(spec)
+    known = _corner(attack_input)
+    reader = _Reader(spec)
     with _phase("row-positions"):
         npos = row_positions(a, s)
     with _phase("sra-recovery"):
-        c0 = _column_mask(_column_cells(ic, 0, a))
-        step = _row_step(pd, a, s)
-        sra = _sra_phase(c0, pd, step)
+        c = _solve_data_state(reader, known)
+        sra = LfsrState(tuple(c >> i & 1 for i in range(a)))
     with _phase("srs-recovery"):
-        srs, offsets, comparisons, bits_read = _srs_phase(ic, c0, pd, step, s)
+        srs, offsets, comparisons, bits_read = _srs_phase(reader, known, c)
     with _phase("regeneration-check"):
-        _check_corner(ic, c0, pd, step, spec, srs, offsets)
-        _check_regeneration(spec, ShrinkingKey(sra, srs), _outside_corner(attack_input.known, a, s))
+        _check_regeneration(reader, ShrinkingKey(sra, srs), known.items())
+    with _phase("column-poly"):
+        pd = column_poly(spec)
     work = WorkCounters(comparisons=comparisons, column_bits_expanded=a + bits_read)
     return AttackResult(sra, srs, offsets, npos, pd, work)
 
@@ -304,23 +284,22 @@ def brute_force(attack_input: AttackInput) -> list[ShrinkingKey]:
     """
     spec = attack_input.spec
     a, s, m = spec.a_length, spec.s_length, spec.pa.mask
-    budget, cols, rows, ratio = BRUTE_FORCE_MAX_BITS - 1, 1 << (s - 1), (1 << a) - 1, (1 << s) - 1
+    budget = BRUTE_FORCE_MAX_BITS - 1
     if s - 1 > budget:
         raise UnsupportedSizeError(
             f"S - 1 = {s - 1} guessed selector bits exceed the exhaustive-search budget ({budget})"
         )
-    known = [(*divmod(pos, cols), bit) for pos, bit in attack_input.known.items()]
-    row_jump = {n: _xpow(n * ratio % rows, m) for n in {n for n, _, _ in known}}  # x^(n(2^S - 1))
+    known = list(_Reader(spec).cells(attack_input.known.items()))
     offset_jump = [1]  # x^o mod P_A, grown as far as the guesses' offsets reach
-    width = max((j for _, j, _ in known), default=-1) + 1
+    width = max((j for _, j, _, _ in known), default=-1) + 1
     found = []
     for rest in product((0, 1), repeat=s - 1):
         srs = (1,) + rest
         offsets = list(islice(_ones(spec, LfsrState(srs)), width))
         while len(offset_jump) <= max(offsets, default=0):
             offset_jump.append(_mulmod(offset_jump[-1], 2, m))
-        space = _solve(((_mulmod(row_jump[n], offset_jump[offsets[j]], m), bit)
-                        for n, j, bit in known), a)
+        space = _solve(((_mulmod(row, offset_jump[offsets[j]], m), bit)
+                        for _, j, bit, row in known), a)
         if space is None:
             continue
         c, basis = space

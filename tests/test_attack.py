@@ -1,7 +1,7 @@
 """Two-phase key recovery, its invariants, and key enumeration by guess-and-solve."""
 
+import hashlib
 import random
-import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +31,7 @@ from shrinkgen import (
     InterceptedDataError,
     KnownBits,
     LfsrState,
+    OffsetVector,
     SgSpec,
     ShrinkingKey,
     UnsupportedSizeError,
@@ -40,15 +41,15 @@ from shrinkgen import (
     build_ic,
     column_poly,
     extend_column,
+    ic_source_index,
     lfsr_generate,
     mod_inverse,
-    recover_sra,
     recover_srs,
     row_positions,
     shrink,
     shrunken_period,
 )
-from shrinkgen.attack import _check_regeneration
+from shrinkgen.attack import _Reader, _check_regeneration
 from shrinkgen.gf2 import _xpow
 
 
@@ -126,44 +127,15 @@ class TestExtendColumn:
                 assert (_xpow(t, pd.mask) & c0).bit_count() & 1 == column[t], (degree, c0, t)
 
 
-class TestRecoverSra:
-    def test_known_example(self, kat_spec, kat_known):
-        state = recover_sra(AttackInput(kat_spec, kat_known))
-        assert str(state) == KAT_SRA
-
-    def test_degenerate_selector_returns_prefix(self):
-        spec = make_spec(5, 1)
-        key = ShrinkingKey(LfsrState.parse("01101"), LfsrState.parse("1"))
-        z = shrink(spec, key, 5)
-        state = recover_sra(AttackInput(spec, KnownBits.from_prefix(z)))
-        assert state.bits == z.bits
-
-    def test_random_keys_match_truth(self):
-        rng = random.Random(59)
-        spec = make_spec(7, 3)
-        for _ in range(100):
-            key = random_key(rng, spec, s0=1)
-            got = recover_sra(AttackInput(spec, submatrix_known(spec, key)))
-            assert got == key.sra_state
-
-    def test_missing_cells(self, kat_spec, kat_known):
-        partial = KnownBits({p: b for p, b in kat_known.items() if p != 8})
-        with pytest.raises(InsufficientInputError):
-            recover_sra(AttackInput(kat_spec, partial))
-
-
 class TestRecoverSrs:
-    def _d0_and_sra(self, spec, attack_input):
-        sra = recover_sra(attack_input)
+    def _d0(self, spec, attack_input):
         a = spec.a_length
         ic = build_ic(attack_input.known, a, spec.s_length)
-        d0 = extend_column([ic.cell(n, 0) for n in range(a)], column_poly(spec))
-        return d0, sra
+        return extend_column([ic.cell(n, 0) for n in range(a)], column_poly(spec))
 
-    def test_known_example(self, kat_spec, kat_known):
+    def test_known_example(self, kat_spec, kat_key, kat_known):
         attack_input = AttackInput(kat_spec, kat_known)
-        d0, sra = self._d0_and_sra(kat_spec, attack_input)
-        state, offsets = recover_srs(attack_input, d0, sra)
+        state, offsets = recover_srs(attack_input, self._d0(kat_spec, attack_input), kat_key.sra_state)
         assert str(state) == KAT_SRS
         assert tuple(offsets) == KAT_OFFSETS
 
@@ -171,8 +143,7 @@ class TestRecoverSrs:
         spec = make_spec(5, 4)
         key = ShrinkingKey(LfsrState.parse("10010"), LfsrState.parse("1111"))
         attack_input = AttackInput(spec, submatrix_known(spec, key))
-        d0, sra = self._d0_and_sra(spec, attack_input)
-        state, offsets = recover_srs(attack_input, d0, sra)
+        state, offsets = recover_srs(attack_input, self._d0(spec, attack_input), key.sra_state)
         assert state == key.srs_state
         assert tuple(offsets) == (0, 1, 2, 3)
 
@@ -182,23 +153,20 @@ class TestRecoverSrs:
         for _ in range(100):
             key = random_key(rng, spec, s0=1)
             attack_input = AttackInput(spec, submatrix_known(spec, key))
-            d0, sra = self._d0_and_sra(spec, attack_input)
-            state, _ = recover_srs(attack_input, d0, sra)
+            state, _ = recover_srs(attack_input, self._d0(spec, attack_input), key.sra_state)
             assert state == key.srs_state
 
     def test_mismatched_sra_rejected(self, kat_spec, kat_known):
         attack_input = AttackInput(kat_spec, kat_known)
-        d0, _ = self._d0_and_sra(kat_spec, attack_input)
         with pytest.raises(ValueError):
-            recover_srs(attack_input, d0, LfsrState.parse("11111"))
+            recover_srs(attack_input, self._d0(kat_spec, attack_input), LfsrState.parse("11111"))
 
-    def test_corrupted_column_rejected(self, kat_spec, kat_known):
+    def test_corrupted_column_rejected(self, kat_spec, kat_key, kat_known):
         # flip one bit of column 1 so no candidate offset matches
         corrupted = {p: (b ^ 1 if p == 1 else b) for p, b in kat_known.items()}
         attack_input = AttackInput(kat_spec, KnownBits(corrupted))
-        d0, sra = self._d0_and_sra(kat_spec, attack_input)
         with pytest.raises(InconsistentDataError):
-            recover_srs(attack_input, d0, sra)
+            recover_srs(attack_input, self._d0(kat_spec, attack_input), kat_key.sra_state)
 
 
 class TestAttack:
@@ -248,13 +216,9 @@ class TestAttack:
         with pytest.raises(InconsistentDataError, match=message):
             attack(AttackInput(kat_spec, KnownBits(corrupted)))
 
-    def test_unmatched_corner_column_checked_by_jumps(self, kat_spec, kat_known, monkeypatch):
+    def test_unmatched_corner_column_checked_by_jumps(self, kat_spec, kat_known):
         # phase two settles the KAT selector at column 2 (offsets 0,1,3), so a flip in
-        # column 3 is found by the corner check, before the regeneration check runs
-        def regeneration_reached(*args):
-            pytest.fail("a corrupted corner column reached the regeneration check")
-
-        monkeypatch.setattr(sys.modules["shrinkgen.attack"], "_check_regeneration", regeneration_reached)
+        # column 3 is found by the final check, read on P_A at the flipped cell's position
         for n in range(5):
             pos = 8 * n + 3
             corrupted = {p: b ^ (p == pos) for p, b in kat_known.items()}
@@ -263,55 +227,31 @@ class TestAttack:
             with pytest.raises(InconsistentDataError, match=message):
                 attack(AttackInput(kat_spec, KnownBits(corrupted)))
 
-    def test_corner_only_input_never_reaches_regeneration_when_rejected(self, monkeypatch):
-        # with every known bit in the corner, any corner no key fits is rejected before
-        # the regeneration check runs
-        module = sys.modules["shrinkgen.attack"]
-        check, calls = module._check_regeneration, []
-        monkeypatch.setattr(module, "_check_regeneration", lambda *args: calls.append(args) or check(*args))
-        rng = random.Random(97)
-        for a, s in [(5, 3), (5, 4), (7, 3), (7, 5)]:
-            spec = make_spec(a, s)
-            for _ in range(200):
-                known = submatrix_known(spec, random_key(rng, spec, s0=1))
-                flips = set(rng.sample(known.positions(), rng.choice([1, 2])))
-                corrupted = KnownBits({p: b ^ (p in flips) for p, b in known.items()})
-                calls.clear()
-                try:
-                    attack(AttackInput(spec, corrupted))
-                except InconsistentDataError:
-                    assert not calls
-                else:
-                    assert len(calls) == 1
-
-    def test_regeneration_check_reads_only_bits_outside_the_corner(self, monkeypatch):
-        # the phases and the corner check have matched every corner cell, so the final
-        # check reads nothing on a corner-only input and only the far bits otherwise
-        module = sys.modules["shrinkgen.attack"]
-        check, seen = module._check_regeneration, []
-
-        def spy(spec, key, known):
-            seen.append(dict(known))
-            check(spec, key, seen[-1].items())
-
-        monkeypatch.setattr(module, "_check_regeneration", spy)
+    def test_flipped_far_bit_named_at_its_position(self):
+        # far bits of the key are accepted; one flipped far bit is named at its own position
         rng = random.Random(113)
         for a, s in [(5, 4), (7, 3), (12, 7), (21, 8)]:
             spec = make_spec(a, s)
             key = random_key(rng, spec, s0=1)
             corner = dict(submatrix_known(spec, key).items())
-            seen.clear()
-            attack(AttackInput(spec, KnownBits(corner)))
-            assert [len(known) for known in seen] == [0]
             z = shrink(spec, key, min(shrunken_period(a, s), 4096))
             far = {p: z[p] for p in rng.sample(sorted(set(range(len(z))) - set(corner)), 6)}
-            seen.clear()
-            attack(AttackInput(spec, KnownBits({**corner, **far})))
-            assert seen == [far]
+            result = attack(AttackInput(spec, KnownBits({**corner, **far})))
+            assert ShrinkingKey(result.sra_state, result.srs_state) == key
             flip = rng.choice(sorted(far))
             far[flip] ^= 1
             with pytest.raises(InconsistentDataError, match=f"known bit at position {flip}$"):
                 attack(AttackInput(spec, KnownBits({**corner, **far})))
+
+    def test_known_bits_past_one_period(self, kat_spec, kat_key, kat_known):
+        # the keystream has period 248, so position 537 is the key's bit 41 again
+        known = dict(kat_known.items())
+        known[537] = shrink(kat_spec, kat_key, 538)[537]
+        result = attack(AttackInput(kat_spec, KnownBits(known)))
+        assert ShrinkingKey(result.sra_state, result.srs_state) == kat_key
+        known[537] ^= 1
+        with pytest.raises(InconsistentDataError, match="at position 537$"):
+            attack(AttackInput(kat_spec, KnownBits(known)))
 
     def test_offset_match_is_unique_and_cross_checked(self):
         # the scan's match is the only one among all candidates
@@ -386,6 +326,13 @@ class TestAttack:
             assert shrink(spec, recovered, t) == z
 
 
+def selector_ones(spec, key):
+    """Offsets o_j of the 1s in one selector period, from `oracles`."""
+    s = spec.s_length
+    selector = oracles.lfsr_run(oracles.mask_to_list(spec.ps.mask), list(key.srs_state.bits), (1 << s) - 1)
+    return oracles.one_positions(selector)
+
+
 def ic_identity_bit(spec, key, pos):
     """Keystream bit pos by the IC identity, in the list arithmetic of `oracles`.
 
@@ -395,8 +342,7 @@ def ic_identity_bit(spec, key, pos):
     """
     a, s = spec.a_length, spec.s_length
     n, j = divmod(pos, 1 << (s - 1))
-    selector = oracles.lfsr_run(oracles.mask_to_list(spec.ps.mask), list(key.srs_state.bits), (1 << s) - 1)
-    t = (n * ((1 << s) - 1) + oracles.one_positions(selector)[j]) % ((1 << a) - 1)
+    t = (n * ((1 << s) - 1) + selector_ones(spec, key)[j]) % ((1 << a) - 1)
     pa, power, square = oracles.mask_to_list(spec.pa.mask), [1], [0, 1]
     while t:
         if t & 1:
@@ -416,14 +362,14 @@ class TestRegenerationCheck:
         for s0 in (0, 0, 1, None):
             key = random_key(rng, spec, s0=s0)
             z = shrink(spec, key, period)
-            _check_regeneration(spec, key, KnownBits.from_prefix(z).items())
+            _check_regeneration(_Reader(spec), key, KnownBits.from_prefix(z).items())
             single = [(p,) for p in {0, period - 1} | set(rng.sample(range(period), 32))]
             pairs = [tuple(sorted(rng.sample(range(period), 2))) for _ in range(8)]
             for flips in single + pairs:
                 flipped = KnownBits.from_prefix(b ^ (i in flips) for i, b in enumerate(z)).items()
                 message = f"^recovered key disagrees with the known bit at position {flips[0]}$"
                 with pytest.raises(InconsistentDataError, match=message):
-                    _check_regeneration(spec, key, flipped)
+                    _check_regeneration(_Reader(spec), key, flipped)
 
     def test_ic_identity_oracle_matches_shrink(self):
         rng = random.Random(107)
@@ -447,6 +393,106 @@ class TestRegenerationCheck:
         known[last] ^= 1
         with pytest.raises(InterceptedDataError, match=f"at position {last}$"):
             attack(AttackInput(spec, KnownBits(known)))
+
+
+def state_per_column(reader, key, ones):
+    """c_{o_j} for each o_j in ones: the key's data state clocked o_j times."""
+    c, states = sum(b << i for i, b in enumerate(key.sra_state.bits)), []
+    for o in range(ones[-1] + 1):
+        if o in ones:
+            states.append(c)
+        c = reader.clock(c)
+    return states
+
+
+class TestReader:
+    @pytest.mark.parametrize("a,s", [(5, 2), (5, 4), (7, 3)])
+    def test_full_period_matches_shrink_and_ic_source_index(self, a, s):
+        # cell (n, j) = parity(R_n & c_{o_j}) is keystream bit n * 2^(S-1) + j and data bit
+        # o_0 + ic_source_index(n, j) under the offsets counted from o_0, for either selector phase
+        rng = random.Random(139 * a + s)
+        spec = make_spec(a, s)
+        reader = _Reader(spec)
+        for s0 in (0, 1):
+            key = random_key(rng, spec, s0=s0)
+            z = shrink(spec, key, shrunken_period(a, s))
+            a_seq = lfsr_generate(spec.sra, key.sra_state, (1 << a) - 1)
+            ones = selector_ones(spec, key)
+            offsets = OffsetVector(tuple(o - ones[0] for o in ones))
+            states = state_per_column(reader, key, ones)
+            cells = list(reader.cells(KnownBits.from_prefix(z).items()))
+            assert len(cells) == len(z)
+            for pos, j, bit, row in cells:
+                n = pos >> (s - 1)
+                t = ones[0] + ic_source_index(n, j, offsets, a, s)
+                assert (row & states[j]).bit_count() & 1 == bit == a_seq.at(t), (s0, pos)
+
+    @pytest.mark.parametrize("a,s", [(21, 5), (31, 3)])
+    def test_sampled_cells(self, a, s):
+        # random rows are jumps, a row right below the last one read is one multiply
+        rng = random.Random(149 * a + s)
+        spec = make_spec(a, s)
+        reader = _Reader(spec)
+        cols = 1 << (s - 1)
+        for s0 in (0, 1):
+            key = random_key(rng, spec, s0=s0)
+            z = shrink(spec, key, 4096)
+            a_seq = lfsr_generate(spec.sra, key.sra_state, 8192)
+            ones = selector_ones(spec, key)
+            offsets = OffsetVector(tuple(o - ones[0] for o in ones))
+            states = state_per_column(reader, key, ones)
+            positions = sorted({p + d for p in rng.sample(range(4096 - cols), 48) for d in (0, cols)})
+            for pos, j, bit, row in reader.cells((p, z[p]) for p in positions):
+                t = ones[0] + ic_source_index(pos // cols, j, offsets, a, s)
+                assert (row & states[j]).bit_count() & 1 == bit == a_seq[t], (s0, pos)
+
+
+# sha256 of `digest_outcomes`, computed with the attack that read cells on the column
+# polynomial P_D, so the P_A reader must reproduce its results exactly.
+OUTCOME_DIGEST = "0d66e8c235f57af1ccd3ed59eba36b3d55b6f21142461b123b9f391cc5f98673"
+DIGEST_SIZES = [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (7, 5), (8, 3), (8, 5), (12, 5), (12, 7),
+                (21, 5), (21, 8)]
+
+
+def digest_outcomes():
+    """One outcome per seeded input, 25 inputs per size: the result text and work counters
+    of a returned key, or the class of the exception raised.
+
+    The inputs cycle through six kinds: a genuine corner; a corner plus eight far bits;
+    one and two flipped corner cells; a corner plus eight far bits, one of them flipped;
+    a corner missing one cell.  Keys may have either selector phase.
+    """
+    rng = random.Random(137)
+    for a, s in DIGEST_SIZES:
+        spec = make_spec(a, s)
+        for i in range(25):
+            key = random_key(rng, spec)
+            known = dict(submatrix_known(spec, key).items())
+            corner, kind = sorted(known), i % 6
+            if kind in (1, 4):
+                z = shrink(spec, key, min(shrunken_period(a, s), 4096))
+                far = rng.sample(sorted(set(range(len(z))) - set(known)), 8)
+                known.update((p, z[p]) for p in far)
+                if kind == 4:
+                    known[rng.choice(far)] ^= 1
+            elif kind in (2, 3):
+                for p in rng.sample(corner, kind - 1):
+                    known[p] ^= 1
+            elif kind == 5:
+                del known[rng.choice(corner)]
+            try:
+                result = attack(AttackInput(spec, KnownBits(known)))
+            except InterceptedDataError as exc:
+                yield type(exc).__name__
+            else:
+                yield result.to_text() + f"work={result.work.comparisons},{result.work.column_bits_expanded}"
+
+
+def test_outcome_digest():
+    # pins to_text(), the work counters and the exception classes over 300 inputs
+    outcomes = list(digest_outcomes())
+    assert len(outcomes) == 300
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == OUTCOME_DIGEST
 
 
 @st.composite

@@ -123,6 +123,22 @@ class TestAttackVerb:
         assert code == 2
         assert "srs-recovery" in err
 
+    def test_known_bit_past_one_period(self, capsys, tmp_path, known_file, kat_spec, kat_key):
+        # the keystream has period 248, so position 537 is the key's bit 41 again
+        far = shrink(kat_spec, kat_key, 538)[537]
+        path = tmp_path / "far.txt"
+        path.write_text(Path(known_file).read_text() + f"537 {far}\n")
+        code, out, _ = invoke(capsys, "attack", "--pa", KAT_PA, "--ps", KAT_PS, "--known", str(path))
+        assert (code, out.splitlines()[:2]) == (0, ["sra_state=10011", "srs_state=1101"])
+        path.write_text(Path(known_file).read_text() + f"537 {far ^ 1}\n")
+        code, _, err = invoke(capsys, "attack", "--pa", KAT_PA, "--ps", KAT_PS, "--known", str(path))
+        assert (code, err) == (2, "error: regeneration-check: recovered key disagrees "
+                                  "with the known bit at position 537\n")
+        # `ic` dumps one period, so it still refuses the position
+        code, _, err = invoke(capsys, "ic", "--pa", KAT_PA, "--ps", KAT_PS, "--known", str(path))
+        assert code == 1
+        assert "beyond one keystream period" in err
+
     def test_equal_register_lengths_exit_1(self, capsys, known_file):
         code, _, err = invoke(capsys, "attack", "--pa", KAT_PS, "--ps", KAT_PS, "--known", known_file)
         assert code == 1
