@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InconsistentDataError
-from .gf2 import BinaryPolynomial, berlekamp_massey, coset_min_poly
+from .gf2 import BinaryPolynomial, _mulmod, berlekamp_massey, coset_min_poly
 from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_stream
 
 
@@ -144,7 +144,10 @@ def verify_shrunken_charpoly(spec: SgSpec, key: ShrinkingKey) -> tuple[BinaryPol
     lc, conn = berlekamp_massey(shrink(spec, key, shrunken_period(a, s)))
     pd = column_poly(spec)
     p, rem = divmod(lc, pd.degree)
-    if rem or pd ** p != conn:
+    power = 1  # P_D^p has degree lc, so reducing mod x^(lc+1) drops no term
+    for _ in range(p):
+        power = _mulmod(pd.mask, power, 1 << (lc + 1))
+    if rem or power != conn.mask:
         raise InconsistentDataError(f"measured polynomial {conn} is not a power of {pd}")
     if not 4 * p > (1 << s) >= 2 * p:
         raise InconsistentDataError(f"power {p} lies outside (2^(S-2), 2^(S-1)]")

@@ -8,10 +8,13 @@ above the degree, and the zero polynomial is mask 0 with degree ``None``.
 The text format is a sum of ``x^k`` terms in descending powers, with ``x``
 for k = 1 and ``1`` for k = 0.  ``BinaryPolynomial.parse`` also accepts a
 hex mask prefixed with ``0x``; ``str()`` always prints the text form.
+Exponents and hex digits are ASCII only.  All arithmetic is on masks:
+``_mulmod`` and ``_xpow`` are the only polynomial products and powers.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -44,43 +47,6 @@ class BinaryPolynomial:
     def __bool__(self) -> bool:
         return self.mask != 0
 
-    def __add__(self, other: "BinaryPolynomial") -> "BinaryPolynomial":
-        if not isinstance(other, BinaryPolynomial):
-            return NotImplemented
-        return BinaryPolynomial(self.mask ^ other.mask)
-
-    def __mul__(self, other: "BinaryPolynomial") -> "BinaryPolynomial":
-        if not isinstance(other, BinaryPolynomial):
-            return NotImplemented
-        a, b, acc = self.mask, other.mask, 0
-        while b:
-            if b & 1:
-                acc ^= a
-            a <<= 1
-            b >>= 1
-        return BinaryPolynomial(acc)
-
-    def __mod__(self, other: "BinaryPolynomial") -> "BinaryPolynomial":
-        if not isinstance(other, BinaryPolynomial):
-            return NotImplemented
-        if not other.mask:
-            raise ZeroDivisionError("division by the zero polynomial")
-        a, n = self.mask, other.mask.bit_length()
-        while a.bit_length() >= n:
-            a ^= other.mask << (a.bit_length() - n)
-        return BinaryPolynomial(a)
-
-    def __pow__(self, k: int) -> "BinaryPolynomial":
-        if k < 0:
-            raise ValueError("exponent must be >= 0")
-        result, base = BinaryPolynomial(1), self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     @classmethod
     def parse(cls, text: str) -> "BinaryPolynomial":
         """Parse the text form (``x^5+x^4+1``, ``x``, ``1``, ``0``) or a ``0x`` hex mask."""
@@ -88,10 +54,9 @@ class BinaryPolynomial:
         if not s:
             raise ValueError("empty polynomial")
         if s[:2].lower() == "0x":
-            try:
-                return cls(int(s, 16))
-            except ValueError:
-                raise ValueError(f"bad hex polynomial mask {text!r}") from None
+            if not re.fullmatch("[0-9a-fA-F]+", s[2:]):
+                raise ValueError(f"bad hex polynomial mask {text!r}")
+            return cls(int(s[2:], 16))
         if s == "0":
             return cls(0)
         mask = 0
@@ -100,18 +65,16 @@ class BinaryPolynomial:
                 k = 0
             elif term == "x":
                 k = 1
-            elif term.startswith("x^"):
-                try:
-                    k = int(term[2:])
-                except ValueError:
-                    raise ValueError(f"bad polynomial term {term!r} in {text!r}") from None
-                if k < 0:
-                    raise ValueError(f"negative exponent in {text!r}")
+            elif re.fullmatch(r"x\^[0-9]+", term):
+                k = int(term[2:])
             else:
                 raise ValueError(f"bad polynomial term {term!r} in {text!r}")
             if (mask >> k) & 1:
                 raise ValueError(f"duplicate term x^{k} in {text!r}")
-            mask |= 1 << k
+            try:
+                mask |= 1 << k
+            except OverflowError:
+                raise ValueError(f"exponent {k} is too large in {text!r}") from None
         return cls(mask)
 
     def __str__(self) -> str:

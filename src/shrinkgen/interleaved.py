@@ -51,10 +51,9 @@ class KnownBits:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"line {ln}: expected '<position> <bit>'")
-            try:
-                pos, bit = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"line {ln}: position and bit must be decimal integers") from None
+            if not all(part.isascii() and part.isdigit() for part in parts):
+                raise ValueError(f"line {ln}: position and bit must be decimal integers")
+            pos, bit = int(parts[0]), int(parts[1])
             if pos <= last:
                 raise ValueError(f"line {ln}: positions must be strictly ascending")
             last = pos

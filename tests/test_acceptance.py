@@ -137,7 +137,10 @@ def test_criterion_4_linear_complexity(kat_spec, kat_key, kat_keystream):
         start = perf_counter()
         lc, conn = berlekamp_massey(kat_keystream)
         assert lc == KAT_LC
-        assert conn == BinaryPolynomial.parse(KAT_PD) ** KAT_P
+        pd, power = oracles.mask_to_list(BinaryPolynomial.parse(KAT_PD).mask), [1]
+        for _ in range(KAT_P):
+            power = oracles.poly_mul(power, pd)
+        assert conn.mask == oracles.list_to_mask(power)
         rng = random.Random(0xFEED)
         for a, s in SPECTRUM_PAIRS:
             spec = make_spec(a, s)

@@ -332,12 +332,26 @@ class TestReadmeExamples:
             if shown is not None:
                 assert out == shown, argv
 
+    def test_library_block_runs(self):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+
 
 class TestUsage:
     def test_unknown_verb(self, capsys):
         code, _, err = invoke(capsys, "frobnicate")
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("verb, flags", [
+        ("coset", ["--s", "2"]),
+        ("gen", ["--ps", KAT_PS, "--sra", KAT_SRA, "--srs", KAT_SRS, "--n", "8"]),
+    ], ids=["coset", "gen"])
+    def test_huge_exponent_exits_1(self, capsys, verb, flags):
+        code, out, err = invoke(capsys, verb, "--pa", "x^100000000000000000000+1", *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_flags(self, capsys):
         code, _, err = invoke(capsys, "attack", "--pa", KAT_PA)

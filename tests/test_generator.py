@@ -1,6 +1,7 @@
 """Shrinking-generator behavior: decimation rule, period, linear complexity."""
 
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ import oracles
 from conftest import KAT_P, KAT_PD, make_spec, primitive, random_key
 from shrinkgen import (
     BinaryPolynomial,
+    InconsistentDataError,
     LfsrState,
     SgSpec,
     ShrinkingKey,
@@ -155,3 +157,18 @@ class TestVerifyShrunkenCharpoly:
         spec = make_spec(4, 1)
         key = ShrinkingKey(LfsrState.parse("0101"), LfsrState.parse("1"))
         assert verify_shrunken_charpoly(spec, key) == (spec.pa, 1)
+
+    def test_rejects_other_shapes(self, kat_spec, kat_key, monkeypatch):
+        pd = oracles.mask_to_list(BinaryPolynomial.parse(KAT_PD).mask)
+        power = [1]
+        for _ in range(KAT_P):
+            power = oracles.poly_mul(power, pd)
+        wrong = oracles.list_to_mask(power) ^ 0b10  # P_D^8 with the x coefficient flipped
+        for measured, message in [
+            ((40, BinaryPolynomial(wrong)), "is not a power of"),
+            ((39, BinaryPolynomial(wrong >> 1)), "is not a power of"),
+            ((5, BinaryPolynomial.parse(KAT_PD)), "power 1 lies outside (2^(S-2), 2^(S-1)]"),
+        ]:
+            monkeypatch.setattr("shrinkgen.generator.berlekamp_massey", lambda bits: measured)
+            with pytest.raises(InconsistentDataError, match=re.escape(message)):
+                verify_shrunken_charpoly(kat_spec, kat_key)

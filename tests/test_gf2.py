@@ -20,6 +20,7 @@ from shrinkgen import (
     mod_inverse,
     poly_is_primitive,
 )
+from shrinkgen.gf2 import _mulmod, _xpow
 
 masks = st.integers(min_value=0, max_value=(1 << 16) - 1)
 moduli = st.integers(min_value=2, max_value=(1 << 12) - 1)
@@ -37,7 +38,8 @@ class TestBinaryPolynomial:
     def test_whitespace_ignored(self):
         assert BinaryPolynomial.parse(" x^4 + x^3 + 1 ") == BinaryPolynomial.parse("x^4+x^3+1")
 
-    @pytest.mark.parametrize("bad", ["", "x^-1", "y+1", "x^4+x^4", "2", "x^", "0xZZ"])
+    @pytest.mark.parametrize("bad", ["", "x^-1", "y+1", "x^4+x^4", "2", "x^", "0xZZ", "0x",
+                                     "x^3_0", "x^\u0665", "0x3_D", "x^100000000000000000000+1"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             BinaryPolynomial.parse(bad)
@@ -59,9 +61,9 @@ class TestBinaryPolynomial:
 
 class TestPolyMulMod:
     def test_squaring_has_no_cross_term(self):
-        xp1 = BinaryPolynomial.parse("x+1")
-        m = BinaryPolynomial.parse("x^3+x+1")
-        assert (xp1 * xp1) % m == BinaryPolynomial.parse("x^2+1")
+        xp1 = BinaryPolynomial.parse("x+1").mask
+        m = BinaryPolynomial.parse("x^3+x+1").mask
+        assert _mulmod(xp1, xp1, m) == BinaryPolynomial.parse("x^2+1").mask
 
     def test_reduction_by_modulus(self):
         # x^4 * x = x^5, one long-division step below the modulus
@@ -72,28 +74,32 @@ class TestPolyMulMod:
             oracles.mask_to_list(a.mask), oracles.mask_to_list(b.mask), oracles.mask_to_list(m.mask)
         )
         assert oracles.list_to_mask(expect) == BinaryPolynomial.parse("x^4+x^3+x^2+1").mask
-        assert (a * b) % m == BinaryPolynomial.parse("x^4+x^3+x^2+1")
+        assert _mulmod(a.mask, b.mask, m.mask) == BinaryPolynomial.parse("x^4+x^3+x^2+1").mask
 
     @given(masks, moduli)
     def test_multiplicative_identity(self, am, mm):
-        a, one, m = BinaryPolynomial(am), BinaryPolynomial(1), BinaryPolynomial(mm)
-        assert (a * one) % m == a % m
+        a = _mulmod(1, am, mm)
+        assert _mulmod(a, 1, mm) == a
+        ref = oracles.poly_divmod(oracles.mask_to_list(am), oracles.mask_to_list(mm))[1]
+        assert a == oracles.list_to_mask(ref)
 
-    @given(masks, masks, moduli)
-    def test_matches_schoolbook_reference(self, am, bm, mm):
-        got = (BinaryPolynomial(am) * BinaryPolynomial(bm)) % BinaryPolynomial(mm)
-        ref = oracles.poly_mulmod(
-            oracles.mask_to_list(am), oracles.mask_to_list(bm), oracles.mask_to_list(mm)
-        )
-        assert got.mask == oracles.list_to_mask(ref)
+    @given(masks, masks, moduli, st.integers(min_value=0, max_value=63))
+    def test_matches_schoolbook_reference(self, am, bm, mm, k):
+        got = _mulmod(_mulmod(1, am, mm), bm, mm)
+        m = oracles.mask_to_list(mm)
+        ref = oracles.poly_mulmod(oracles.mask_to_list(am), oracles.mask_to_list(bm), m)
+        assert got == oracles.list_to_mask(ref)
+        power = oracles.poly_divmod([1], m)[1]
+        for _ in range(k):
+            power = oracles.poly_mulmod(power, [0, 1], m)
+        assert _xpow(k, mm) == oracles.list_to_mask(power)
 
     @given(masks, masks, masks, moduli)
     def test_ring_laws(self, am, bm, cm, mm):
-        a, b, c = BinaryPolynomial(am), BinaryPolynomial(bm), BinaryPolynomial(cm)
-        m = BinaryPolynomial(mm)
-        assert (a * b) % m == (b * a) % m
-        assert ((a * b) % m * c) % m == (a * ((b * c) % m)) % m
-        assert (a * (b + c)) % m == (a * b) % m + (a * c) % m
+        a, b, c = (_mulmod(1, v, mm) for v in (am, bm, cm))
+        assert _mulmod(a, b, mm) == _mulmod(b, a, mm)
+        assert _mulmod(_mulmod(a, b, mm), c, mm) == _mulmod(a, _mulmod(b, c, mm), mm)
+        assert _mulmod(a, b ^ c, mm) == _mulmod(a, b, mm) ^ _mulmod(a, c, mm)
 
 
 class TestPrimitivity:

@@ -1,4 +1,5 @@
-"""Every package module uses each name it imports."""
+"""Every package module uses each name it imports, and every private
+module-level name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,27 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level `_name` functions, classes and constants that no module reads.
+
+    `sources` maps a module's file name to its text; a name counts as read
+    wherever an expression in any of the modules loads it.
+    """
+    defined, read = [], set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, name, node.lineno))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(t.id, name, node.lineno) for t in targets if isinstance(t, ast.Name)]
+        read |= {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"{ident} ({name}:{line})" for ident, name, line in defined
+            if ident.startswith("_") and not ident.startswith("__") and ident not in read]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -39,3 +61,16 @@ def test_no_unused_imports(path):
 def test_detector_flags_an_unused_name():
     source = "from .interleaved import InterleavedConfig, KnownBits\n\nx: KnownBits\n"
     assert unused_imports(source) == ["InterleavedConfig (line 1)"]
+
+
+def test_no_unused_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []
+
+
+def test_private_detector_flags_an_unread_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n\ndef _used():\n    return _LIMIT\n\ndef _dead():\n    pass\n",
+        "b.py": "from .a import _used\n\n_used()\n",
+    }
+    assert unused_private_names(sources) == ["_dead (a.py:6)"]

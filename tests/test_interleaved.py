@@ -49,6 +49,9 @@ class TestKnownBits:
             KnownBits.parse("0\n")
         with pytest.raises(ValueError):
             KnownBits.parse("a 1\n")
+        for line in ["1_0 1", "+3 1", "\u0665 1", "3 \u0661"]:  # ASCII digits only
+            with pytest.raises(ValueError):
+                KnownBits.parse(line + "\n")
 
     def test_duplicate_positions_rejected(self):
         with pytest.raises(ValueError):
