@@ -28,7 +28,6 @@ from .generator import (
     ShrinkingKey,
     column_poly,
     lc_bounds,
-    measure_shrunken_period,
     shrink,
     shrunken_period,
     verify_shrunken_charpoly,
@@ -89,7 +88,6 @@ __all__ = [
     "lc_bounds",
     "lfsr_generate",
     "lfsr_stream",
-    "measure_shrunken_period",
     "mod_inverse",
     "poly_is_primitive",
     "recover_srs",

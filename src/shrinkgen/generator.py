@@ -1,8 +1,8 @@
-"""The shrinking generator and verifiers for its keystream algebra.
+"""The shrinking generator and its keystream algebra.
 
 Covers the decimation rule itself plus the three classic keystream facts:
-the period (2^A - 1) * 2^(S-1), the linear-complexity interval
-(A * 2^(S-2), A * 2^(S-1)], and the characteristic polynomial P_D(x)^p.
+the period (2^A - 1) * 2^(S-1) in closed form, the linear-complexity
+interval (A * 2^(S-2), A * 2^(S-1)], and the characteristic polynomial P_D^p.
 """
 
 from __future__ import annotations
@@ -95,28 +95,6 @@ def shrunken_period(a: int, s: int) -> int:
     """Keystream period (2^A - 1) * 2^(S-1)."""
     _check_lengths(a, s)
     return ((1 << a) - 1) << (s - 1)
-
-
-def measure_shrunken_period(spec: SgSpec, key: ShrinkingKey) -> int:
-    """Count emitted bits until the joint register state pair first recurs.
-
-    Measuring on the state pair rather than on the output string avoids false
-    early periods of an output prefix.
-    """
-    _check_key(spec, key)
-    a_taps, s_taps = spec.sra.taps, spec.srs.taps
-    a_top, s_top = spec.a_length - 1, spec.s_length - 1
-    a_reg = sum(b << i for i, b in enumerate(key.sra_state.bits))
-    s_reg = sum(b << i for i, b in enumerate(key.srs_state.bits))
-    start = (a_reg, s_reg)
-    emitted = 0
-    while True:
-        if s_reg & 1:
-            emitted += 1
-        a_reg = (a_reg >> 1) | (((a_reg & a_taps).bit_count() & 1) << a_top)
-        s_reg = (s_reg >> 1) | (((s_reg & s_taps).bit_count() & 1) << s_top)
-        if (a_reg, s_reg) == start:
-            return emitted
 
 
 def lc_bounds(a: int, s: int) -> tuple[int, int]:

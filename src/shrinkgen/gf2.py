@@ -66,7 +66,10 @@ class BinaryPolynomial:
             elif term == "x":
                 k = 1
             elif re.fullmatch(r"x\^[0-9]+", term):
-                k = int(term[2:])
+                try:
+                    k = int(term[2:])
+                except ValueError:  # more digits than Python converts to int
+                    raise ValueError(f"exponent of term {term!r} is too long") from None
             else:
                 raise ValueError(f"bad polynomial term {term!r} in {text!r}")
             if (mask >> k) & 1:

@@ -53,7 +53,10 @@ class KnownBits:
                 raise ValueError(f"line {ln}: expected '<position> <bit>'")
             if not all(part.isascii() and part.isdigit() for part in parts):
                 raise ValueError(f"line {ln}: position and bit must be decimal integers")
-            pos, bit = int(parts[0]), int(parts[1])
+            try:
+                pos, bit = int(parts[0]), int(parts[1])
+            except ValueError:  # more digits than Python converts to int
+                raise ValueError(f"line {ln}: position or bit has too many digits") from None
             if pos <= last:
                 raise ValueError(f"line {ln}: positions must be strictly ascending")
             last = pos
@@ -61,9 +64,9 @@ class KnownBits:
         return cls(entries)
 
     @classmethod
-    def from_prefix(cls, bits: Iterable[int], start: int = 0) -> "KnownBits":
-        """Known bits for a contiguous keystream run beginning at `start`."""
-        return cls((start + i, b) for i, b in enumerate(bits))
+    def from_prefix(cls, bits: Iterable[int]) -> "KnownBits":
+        """Known bits for a contiguous keystream run beginning at position 0."""
+        return cls(enumerate(bits))
 
     def positions(self) -> tuple[int, ...]:
         return tuple(self._entries)
@@ -87,71 +90,43 @@ class KnownBits:
 
 
 class InterleavedConfig:
-    """Partial (2^A - 1) x 2^(S-1) matrix of keystream bits."""
+    """Known keystream bits viewed as a rows x cols matrix: cell (n, j) is position n * cols + j."""
 
-    __slots__ = ("_rows", "_cols", "_cells")
+    __slots__ = ("rows", "cols", "_known")
 
-    def __init__(self, rows: int, cols: int, cells: Mapping[tuple[int, int], int]):
+    def __init__(self, rows: int, cols: int, known: KnownBits):
         if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        store: dict[tuple[int, int], int] = {}
-        for (r, c), bit in cells.items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"cell ({r}, {c}) outside a {rows}x{cols} matrix")
-            if bit not in (0, 1):
-                raise ValueError(f"cell ({r}, {c}) must be 0 or 1")
-            store[(r, c)] = bit
-        self._rows = rows
-        self._cols = cols
-        self._cells = dict(sorted(store.items()))
-
-    @property
-    def rows(self) -> int:
-        return self._rows
-
-    @property
-    def cols(self) -> int:
-        return self._cols
+        beyond = next((pos for pos in known.positions() if pos >= rows * cols), None)
+        if beyond is not None:
+            raise ValueError(f"position {beyond} lies beyond one keystream period ({rows * cols})")
+        self.rows, self.cols, self._known = rows, cols, known._entries
 
     def cell(self, row: int, col: int) -> int | None:
         """Bit at (row, col), or None when that keystream position is unknown."""
-        if not (0 <= row < self._rows and 0 <= col < self._cols):
-            raise ValueError(f"cell ({row}, {col}) outside a {self._rows}x{self._cols} matrix")
-        return self._cells.get((row, col))
-
-    def known_cells(self) -> Iterator[tuple[tuple[int, int], int]]:
-        return iter(self._cells.items())
+        if not (0 <= row < self.rows and 0 <= col < self.cols):
+            raise ValueError(f"cell ({row}, {col}) outside a {self.rows}x{self.cols} matrix")
+        return self._known.get(row * self.cols + col)
 
     def __len__(self) -> int:
-        return len(self._cells)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InterleavedConfig):
-            return NotImplemented
-        return (self._rows, self._cols, self._cells) == (other._rows, other._cols, other._cells)
+        return len(self._known)
 
     def dump(self) -> str:
         """One matrix row per line; '.' marks unknown cells."""
         lines = []
-        for r in range(self._rows):
-            row = [self._cells.get((r, c)) for c in range(self._cols)]
+        for start in range(0, self.rows * self.cols, self.cols):
+            row = [self._known.get(pos) for pos in range(start, start + self.cols)]
             lines.append("".join("." if b is None else str(b) for b in row))
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return f"<InterleavedConfig {self._rows}x{self._cols}, {len(self._cells)} known>"
+        return f"<InterleavedConfig {self.rows}x{self.cols}, {len(self._known)} known>"
 
 
 def build_ic(known: KnownBits, a: int, s: int) -> InterleavedConfig:
-    """Arrange known bits at (pos div 2^(S-1), pos mod 2^(S-1))."""
+    """The (2^A - 1) x 2^(S-1) IC: position p at cell (p div 2^(S-1), p mod 2^(S-1))."""
     _check_lengths(a, s)
-    rows, cols = (1 << a) - 1, 1 << (s - 1)
-    cells = {}
-    for pos, bit in known.items():
-        if pos >= rows * cols:
-            raise ValueError(f"position {pos} lies beyond one keystream period ({rows * cols})")
-        cells[divmod(pos, cols)] = bit
-    return InterleavedConfig(rows, cols, cells)
+    return InterleavedConfig((1 << a) - 1, 1 << (s - 1), known)
 
 
 @dataclass(frozen=True)

@@ -13,48 +13,33 @@ and line breaks are ignored on parse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .gf2 import BinaryPolynomial, poly_is_primitive
 
 
 class BitSequence:
-    """Immutable bit vector with an optional declared period."""
+    """Immutable bit vector."""
 
-    __slots__ = ("_bits", "_period")
+    __slots__ = ("_bits",)
 
-    def __init__(self, bits: Iterable[int], period: int | None = None):
+    def __init__(self, bits: Iterable[int]):
         bits = tuple(int(b) for b in bits)
         if any(b not in (0, 1) for b in bits):
             raise ValueError("sequence bits must be 0 or 1")
-        if period is not None:
-            if period < 1 or not bits or len(bits) % period:
-                raise ValueError("bit count must be a positive multiple of the period")
-            if any(bits[i] != bits[i % period] for i in range(period, len(bits))):
-                raise ValueError("bits do not repeat with the declared period")
         self._bits = bits
-        self._period = period
 
     @property
     def bits(self) -> tuple[int, ...]:
         return self._bits
 
-    @property
-    def period(self) -> int | None:
-        return self._period
-
-    def at(self, i: int) -> int:
-        """Bit at index i of the periodic extension; needs a declared period."""
-        if self._period is None:
-            raise ValueError("sequence has no declared period")
-        return self._bits[i % self._period]
-
     @classmethod
-    def parse(cls, text: str, period: int | None = None) -> "BitSequence":
+    def parse(cls, text: str) -> "BitSequence":
         s = "".join(text.split())
         if any(ch not in "01" for ch in s):
             raise ValueError("bit strings may only contain '0' and '1'")
-        return cls((int(ch) for ch in s), period)
+        return cls(int(ch) for ch in s)
 
     def __len__(self) -> int:
         return len(self._bits)
@@ -68,16 +53,16 @@ class BitSequence:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitSequence):
             return NotImplemented
-        return self._bits == other._bits and self._period == other._period
+        return self._bits == other._bits
 
     def __hash__(self) -> int:
-        return hash((self._bits, self._period))
+        return hash(self._bits)
 
     def __str__(self) -> str:
         return "".join(map(str, self._bits))
 
     def __repr__(self) -> str:
-        return f"<BitSequence len={len(self._bits)} period={self._period}>"
+        return f"<BitSequence len={len(self._bits)}>"
 
 
 @dataclass(frozen=True)
@@ -156,11 +141,8 @@ def _stream(reg: int, taps: int, top: int) -> Iterator[int]:
 
 
 def lfsr_generate(spec: LfsrSpec, state: LfsrState, n: int) -> BitSequence:
-    """First n output terms; the period is declared when n covers whole periods."""
+    """First n output terms; one period is spec.period = 2^L - 1 of them."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    stream = lfsr_stream(spec, state)
-    out = [next(stream) for _ in range(n)]
-    t = spec.period
-    return BitSequence(out, period=t if n and n % t == 0 else None)
+    return BitSequence(islice(lfsr_stream(spec, state), n))
 

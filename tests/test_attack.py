@@ -26,6 +26,7 @@ from conftest import (
 from shrinkgen import (
     AttackInput,
     BinaryPolynomial,
+    BitSequence,
     InconsistentDataError,
     InsufficientInputError,
     InterceptedDataError,
@@ -64,7 +65,7 @@ class TestColumnPoly:
     def test_matches_decimation_oracle(self):
         spec = make_spec(7, 3)
         pn = lfsr_generate(spec.sra, LfsrState((1,) + (0,) * 6), 127)
-        assert berlekamp_massey([pn.at(7 * k) for k in range(127)]) == (7, column_poly(spec))
+        assert berlekamp_massey([pn[7 * k % 127] for k in range(127)]) == (7, column_poly(spec))
 
 
 class TestRowPositions:
@@ -89,7 +90,7 @@ class TestExtendColumn:
     def test_known_column(self, kat_spec):
         pd = column_poly(kat_spec)
         d0 = extend_column(KAT_D0_HEAD, pd)
-        assert d0.period == 31
+        assert len(d0) == 31
         for row, bit in KAT_D0_TAIL.items():
             assert d0[row] == bit
 
@@ -160,6 +161,12 @@ class TestRecoverSrs:
         attack_input = AttackInput(kat_spec, kat_known)
         with pytest.raises(ValueError):
             recover_srs(attack_input, self._d0(kat_spec, attack_input), LfsrState.parse("11111"))
+
+    def test_short_column_rejected(self, kat_spec, kat_key, kat_known):
+        attack_input = AttackInput(kat_spec, kat_known)
+        d0 = BitSequence(self._d0(kat_spec, attack_input).bits[:30])
+        with pytest.raises(ValueError, match="full column of period 31"):
+            recover_srs(attack_input, d0, kat_key.sra_state)
 
     def test_corrupted_column_rejected(self, kat_spec, kat_key, kat_known):
         # flip one bit of column 1 so no candidate offset matches
@@ -274,7 +281,7 @@ class TestAttack:
                     col = tuple(ic.cell(n, j) for n in range(a))
                     matches = [
                         o for o in range(1, (1 << s) - 1)
-                        if all(d0.at(o * inv % rows + i) == col[i] for i in range(a))
+                        if all(d0[(o * inv + i) % rows] == col[i] for i in range(a))
                     ]
                     assert matches == [o_j]
 
@@ -425,7 +432,7 @@ class TestReader:
             for pos, j, bit, row in cells:
                 n = pos >> (s - 1)
                 t = ones[0] + ic_source_index(n, j, offsets, a, s)
-                assert (row & states[j]).bit_count() & 1 == bit == a_seq.at(t), (s0, pos)
+                assert (row & states[j]).bit_count() & 1 == bit == a_seq[t % len(a_seq)], (s0, pos)
 
     @pytest.mark.parametrize("a,s", [(21, 5), (31, 3)])
     def test_sampled_cells(self, a, s):

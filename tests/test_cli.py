@@ -353,6 +353,18 @@ class TestUsage:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_number_past_the_int_string_limit_exits_1(self, capsys, tmp_path):
+        # Python refuses to convert decimal strings of more than 4,300 digits to int
+        nines = "9" * 5000
+        path = tmp_path / "huge.txt"
+        path.write_text(f"{nines} 1\n")
+        for argv in (["coset", "--pa", f"x^{nines}+1", "--s", "2"],
+                     ["attack", "--pa", KAT_PA, "--ps", KAT_PS, "--known", str(path)]):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (1, ""), argv[0]
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "set_int_max_str_digits" not in err
+
     def test_missing_flags(self, capsys):
         code, _, err = invoke(capsys, "attack", "--pa", KAT_PA)
         assert code == 1

@@ -16,7 +16,6 @@ from shrinkgen import (
     berlekamp_massey,
     lc_bounds,
     lfsr_generate,
-    measure_shrunken_period,
     shrink,
     shrunken_period,
     verify_shrunken_charpoly,
@@ -81,8 +80,8 @@ class TestShrink:
         s_seq = lfsr_generate(kat_spec.srs, key0.srs_state, 15)
         first_one = list(s_seq).index(1)
         canonical = ShrinkingKey(
-            LfsrState(tuple(a_seq.at(first_one + i) for i in range(5))),
-            LfsrState(tuple(s_seq.at(first_one + i) for i in range(4))),
+            LfsrState(tuple(a_seq[(first_one + i) % 31] for i in range(5))),
+            LfsrState(tuple(s_seq[(first_one + i) % 15] for i in range(4))),
         )
         assert shrink(kat_spec, key0, 248) == shrink(kat_spec, canonical, 248)
 
@@ -101,9 +100,6 @@ class TestShrunkenPeriod:
         key = ShrinkingKey(LfsrState.parse("101"), LfsrState.parse("11"))
         z = shrink(spec, key, 2 * 14)
         assert oracles.exact_period(list(z), 14) == 14
-
-    def test_measured_equals_formula(self, kat_spec, kat_key):
-        assert measure_shrunken_period(kat_spec, kat_key) == 248
 
     def test_degenerate_selector_equals_data_sequence(self):
         spec = make_spec(4, 1)

@@ -58,6 +58,14 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def test_every_export_resolves_once():
+    import shrinkgen
+
+    names = shrinkgen.__all__
+    assert sorted(set(names)) == sorted(names)
+    assert [name for name in names if not hasattr(shrinkgen, name)] == []
+
+
 def test_detector_flags_an_unused_name():
     source = "from .interleaved import InterleavedConfig, KnownBits\n\nx: KnownBits\n"
     assert unused_imports(source) == ["InterleavedConfig (line 1)"]

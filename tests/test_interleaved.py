@@ -52,6 +52,10 @@ class TestKnownBits:
         for line in ["1_0 1", "+3 1", "\u0665 1", "3 \u0661"]:  # ASCII digits only
             with pytest.raises(ValueError):
                 KnownBits.parse(line + "\n")
+        for line in ["9" * 5000 + " 1", "0 " + "9" * 5000]:  # past Python's int-string limit
+            with pytest.raises(ValueError, match="^line 1: ") as exc:
+                KnownBits.parse(line + "\n")
+            assert "set_int_max_str_digits" not in str(exc.value)
 
     def test_duplicate_positions_rejected(self):
         with pytest.raises(ValueError):
@@ -89,6 +93,12 @@ class TestBuildIc:
     def test_out_of_range_position(self):
         with pytest.raises(ValueError):
             build_ic(KnownBits({248: 1}), 5, 4)
+
+    def test_out_of_range_cell(self, kat_known):
+        ic = build_ic(kat_known, 5, 4)
+        for row, col in [(31, 0), (0, 8)]:
+            with pytest.raises(ValueError, match="outside a 31x8 matrix"):
+                ic.cell(row, col)
 
     def test_dump_format(self, kat_known):
         lines = build_ic(kat_known, 5, 4).dump().splitlines()
@@ -143,9 +153,9 @@ class TestIcSourceIndex:
             s_seq = lfsr_generate(spec.srs, key.srs_state, (1 << s) - 1)
             offsets = OffsetVector(tuple(oracles.one_positions(list(s_seq))))
             assert len(offsets) == 1 << (s - 1)
-            ic = build_ic(KnownBits.from_prefix(shrink(spec, key, t)), a, s)
-            for (n, j), bit in ic.known_cells():
-                assert bit == a_seq.at(ic_source_index(n, j, offsets, a, s))
+            for pos, bit in enumerate(shrink(spec, key, t)):
+                n, j = divmod(pos, 1 << (s - 1))
+                assert bit == a_seq[ic_source_index(n, j, offsets, a, s)]
 
     def test_offsets_match_selector_ones(self):
         # o_j is the position of the (j+1)-th 1 in the selector sequence,
