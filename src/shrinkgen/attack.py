@@ -58,7 +58,6 @@ class AttackResult:
     sra_state: LfsrState
     srs_state: LfsrState
     offsets: OffsetVector
-    row_positions: tuple[int, ...]
     column_poly: BinaryPolynomial
     work: WorkCounters
 
@@ -251,11 +250,9 @@ def attack(attack_input: AttackInput) -> AttackResult:
     costs no more than a near one.
     """
     spec = attack_input.spec
-    a, s = spec.a_length, spec.s_length
+    a = spec.a_length
     known = _corner(attack_input)
     reader = _Reader(spec)
-    with _phase("row-positions"):
-        npos = row_positions(a, s)
     with _phase("sra-recovery"):
         c = _solve_data_state(reader, known)
         sra = LfsrState(tuple(c >> i & 1 for i in range(a)))
@@ -266,7 +263,7 @@ def attack(attack_input: AttackInput) -> AttackResult:
     with _phase("column-poly"):
         pd = column_poly(spec)
     work = WorkCounters(comparisons=comparisons, column_bits_expanded=a + bits_read)
-    return AttackResult(sra, srs, offsets, npos, pd, work)
+    return AttackResult(sra, srs, offsets, pd, work)
 
 
 def brute_force(attack_input: AttackInput) -> list[ShrinkingKey]:

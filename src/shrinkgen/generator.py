@@ -112,19 +112,19 @@ def lc_bounds(a: int, s: int) -> tuple[int, int]:
 def verify_shrunken_charpoly(spec: SgSpec, key: ShrinkingKey) -> tuple[BinaryPolynomial, int]:
     """Measure the keystream's characteristic polynomial and factor it as P_D^p.
 
-    Runs Berlekamp-Massey over one full keystream period and checks that the
-    connection polynomial is the column polynomial P_D raised to an integer
-    power p with 2^(S-2) < p <= 2^(S-1).  Returns (P_D, p); any other shape
-    signals a convention bug somewhere upstream.
+    Runs Berlekamp-Massey over the first A * 2^S keystream bits: LC <= A * 2^(S-1), so
+    that is at least 2 * LC bits, which pin the unique shortest LFSR.  Checks that its
+    polynomial is the column polynomial P_D to a power p, 2^(S-2) < p <= 2^(S-1), and
+    returns (P_D, p); any other shape signals a convention bug somewhere upstream.
     """
     _check_key(spec, key)
     a, s = spec.a_length, spec.s_length
-    lc, conn = berlekamp_massey(shrink(spec, key, shrunken_period(a, s)))
+    lc, conn = berlekamp_massey(shrink(spec, key, a << s))
     pd = column_poly(spec)
     p, rem = divmod(lc, pd.degree)
-    power = 1  # P_D^p has degree lc, so reducing mod x^(lc+1) drops no term
+    power = 1  # deg P_D^k <= lc, so reducing mod x^(lc+1) drops no term
     for _ in range(p):
-        power = _mulmod(pd.mask, power, 1 << (lc + 1))
+        power = _mulmod(power, pd.mask, 1 << (lc + 1))
     if rem or power != conn.mask:
         raise InconsistentDataError(f"measured polynomial {conn} is not a power of {pd}")
     if not 4 * p > (1 << s) >= 2 * p:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import InsufficientInputError
 from .gf2 import BinaryPolynomial
-from .generator import SgSpec, ShrinkingKey, _check_lengths, column_poly, shrink, shrunken_period
+from .generator import SgSpec, ShrinkingKey, _check_lengths, column_poly, shrink
 
 
 class KnownBits:
@@ -192,7 +192,10 @@ def is_interleaved(seq: Iterable[int], m: int, f: BinaryPolynomial) -> bool:
 
 
 def shrunken_interleaved_check(spec: SgSpec, key: ShrinkingKey) -> bool:
-    """Check one full keystream period is interleaved of size 2^(S-1) under P_D."""
+    """Spot-check that the first A * 2^S keystream bits are interleaved of size 2^(S-1) under P_D.
+
+    Each column holds 2A terms.  Once the connection polynomial is P_D^p with p <= 2^(S-1),
+    it divides P_D^(2^(S-1))(x) = P_D(x^(2^(S-1))), so the whole keystream is interleaved.
+    """
     a, s = spec.a_length, spec.s_length
-    period = shrunken_period(a, s)
-    return is_interleaved(shrink(spec, key, period), 1 << (s - 1), column_poly(spec))
+    return is_interleaved(shrink(spec, key, a << s), 1 << (s - 1), column_poly(spec))

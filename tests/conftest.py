@@ -27,6 +27,7 @@ PRIMITIVE_POLYS = {
     6: "x^6+x+1",
     7: "x^7+x^3+1",
     8: "x^8+x^4+x^3+x^2+1",
+    9: "x^9+x^4+1",
     10: "x^10+x^3+1",
     12: "x^12+x^6+x^4+x+1",
     21: "x^21+x^2+1",

@@ -182,7 +182,6 @@ class TestAttack:
         assert str(result.sra_state) == KAT_SRA
         assert str(result.srs_state) == KAT_SRS
         assert tuple(result.offsets) == KAT_OFFSETS
-        assert result.row_positions == KAT_ROW_POSITIONS
         assert result.column_poly == BinaryPolynomial.parse(KAT_PD)
         assert result.work.comparisons == 3
         assert result.work.column_bits_expanded == 16

@@ -6,6 +6,7 @@ import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +276,44 @@ class TestAnalyzeVerb:
         assert code == 0
         assert "note=S=1" in out
         assert "p=1\n" in out
+
+    @pytest.mark.parametrize("sra", ["01", "10", "11"])
+    def test_period_shorter_than_twice_the_linear_complexity(self, capsys, sra):
+        # at (2,1) one period is 3 bits, fewer than the 2 * LC = 4 that pin the LFSR
+        code, out, err = invoke(
+            capsys, "analyze", "--pa", PRIMITIVE_POLYS[2], "--ps", PRIMITIVE_POLYS[1],
+            "--sra", sra, "--srs", "1",
+        )
+        assert (code, err) == (0, "")
+        assert "lc=2\n" in out and "p=1\n" in out and "interleaved=true\n" in out
+
+    @pytest.mark.parametrize("a, s, sra, srs, report", [
+        (21, 5, "010110010001110000110", "00110", (
+            "period=33554416", "lc=336", "lc_low_exclusive=168", "lc_high_inclusive=336",
+            "pd=x^21+x^17+x^11+x^9+x^5+x^3+x^2+x+1", "p=16",
+        )),
+        (21, 8, "101001110111101001000", "01001111", (
+            "period=268435328", "lc=2688", "lc_low_exclusive=1344", "lc_high_inclusive=2688",
+            "pd=x^21+x^20+x^18+x^17+x^16+x^14+x^13+x^11+x^7+x^6+1", "p=128",
+        )),
+        (31, 5, "1101000111101111110101010000111", "10011", (
+            "period=34359738352", "lc=496", "lc_low_exclusive=248", "lc_high_inclusive=496",
+            "pd=x^31+x^30+x^29+x^28+x^27+x^26+x^25+x^24+x^23+x^22+x^21+x^20+x^19+x^18+x^17"
+            "+x^16+x^15+x^14+x^13+x^12+x^11+x^10+x^9+x^8+x^7+x^6+x^5+x^4+x^2+x+1",
+            "p=16",
+        )),
+    ], ids=["21-5", "21-8", "31-5"])
+    def test_sizes_beyond_a_whole_period(self, capsys, a, s, sra, srs, report):
+        # a whole period is 2^25 bits and more here; analyze reads only A * 2^S of them
+        start = perf_counter()
+        code, out, err = invoke(
+            capsys, "analyze", "--pa", PRIMITIVE_POLYS[a], "--ps", PRIMITIVE_POLYS[s],
+            "--sra", sra, "--srs", srs,
+        )
+        elapsed = perf_counter() - start
+        assert (code, err) == (0, "")
+        assert out == "\n".join(report + ("interleaved=true",)) + "\n"
+        assert elapsed < 1.0, f"analyze took {elapsed:.3f} s"
 
 
 class TestCosetVerb:

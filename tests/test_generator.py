@@ -2,6 +2,7 @@
 
 import random
 import re
+from math import gcd
 
 import pytest
 
@@ -14,9 +15,12 @@ from shrinkgen import (
     SgSpec,
     ShrinkingKey,
     berlekamp_massey,
+    column_poly,
+    is_interleaved,
     lc_bounds,
     lfsr_generate,
     shrink,
+    shrunken_interleaved_check,
     shrunken_period,
     verify_shrunken_charpoly,
 )
@@ -168,3 +172,38 @@ class TestVerifyShrunkenCharpoly:
             monkeypatch.setattr("shrinkgen.generator.berlekamp_massey", lambda bits: measured)
             with pytest.raises(InconsistentDataError, match=re.escape(message)):
                 verify_shrunken_charpoly(kat_spec, kat_key)
+
+
+def assert_prefix_matches_full_period(spec, key):
+    """The prefix checks give what the old whole-period computation gives."""
+    a, s = spec.a_length, spec.s_length
+    z = shrink(spec, key, shrunken_period(a, s))
+    lc, conn = berlekamp_massey(z)
+    pd = column_poly(spec)
+    p, rem = divmod(lc, pd.degree)
+    power = [1]
+    for _ in range(p):
+        power = oracles.poly_mul(power, oracles.mask_to_list(pd.mask))
+    assert rem == 0 and oracles.list_to_mask(power) == conn.mask
+    assert verify_shrunken_charpoly(spec, key) == (pd, p)
+    assert shrunken_interleaved_check(spec, key) == is_interleaved(z, 1 << (s - 1), pd)
+
+
+class TestPrefixMatchesFullPeriod:
+    """The A * 2^S-bit prefix gives what one whole period gives, for A >= 3."""
+
+    @pytest.mark.parametrize("a, s", [(a, s) for a in range(3, 11) for s in range(1, a)
+                                      if gcd(a, s) == 1], ids=str)
+    def test_random_keys(self, a, s):
+        rng = random.Random(a * 100 + s)
+        spec = make_spec(a, s)
+        # Berlekamp-Massey over a whole period is quadratic: one key where it runs past 2^15 bits
+        for _ in range(3 if shrunken_period(a, s) < 1 << 15 else 1):
+            assert_prefix_matches_full_period(spec, random_key(rng, spec))
+
+    def test_known_example(self, kat_spec, kat_key):
+        assert_prefix_matches_full_period(kat_spec, kat_key)
+
+    def test_degenerate_selector(self):
+        key = ShrinkingKey(LfsrState.parse("0101"), LfsrState.parse("1"))
+        assert_prefix_matches_full_period(make_spec(4, 1), key)

@@ -1,12 +1,15 @@
-"""Every package module uses each name it imports, and every private
-module-level name is read somewhere in the package."""
+"""Every package module uses each name it imports, every private
+module-level name is read somewhere in the package, and every Python file
+parses as the oldest supported Python (3.10)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shrinkgen"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "shrinkgen"
+OLDEST_PYTHON = (3, 10)  # requires-python in pyproject.toml
 
 
 def unused_imports(source: str) -> list[str]:
@@ -82,3 +85,16 @@ def test_private_detector_flags_an_unread_name():
         "b.py": "from .a import _used\n\n_used()\n",
     }
     assert unused_private_names(sources) == ["_dead (a.py:6)"]
+
+
+PY_FILES = sorted(path for d in ("src", "tests", "bench") for path in (ROOT / d).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", PY_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_as_oldest_python(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=OLDEST_PYTHON)
+
+
+def test_oldest_python_detector_flags_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=OLDEST_PYTHON)

@@ -226,6 +226,17 @@ class TestShrunkenInterleavedCheck:
             for _ in range(50):
                 assert shrunken_interleaved_check(spec, random_key(rng, spec))
 
+    def test_reads_a_whole_recurrence_window_per_column(self, kat_spec, kat_key, monkeypatch):
+        # the prefix is A * 2^S = 40 bits: 2A = 10 terms in each of the 8 columns,
+        # so the last bit is the A-th recurrence step of column 7 and must be read
+        def last_bit_flipped(spec, key, n):
+            bits = list(shrink(spec, key, n))
+            bits[-1] ^= 1
+            return BitSequence(bits)
+
+        monkeypatch.setattr("shrinkgen.interleaved.shrink", last_bit_flipped)
+        assert not shrunken_interleaved_check(kat_spec, kat_key)
+
     def test_wrong_polynomial_fails_for_s_above_one(self, kat_spec, kat_key):
         z = shrink(kat_spec, kat_key, shrunken_period(5, 4))
         assert not is_interleaved(z, 8, kat_spec.pa)
