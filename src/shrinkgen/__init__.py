@@ -34,6 +34,7 @@ from .generator import (
 )
 from .gf2 import (
     FACTOR_DEGREE_CAP,
+    PARSE_DEGREE_CAP,
     BinaryPolynomial,
     berlekamp_massey,
     coset_min_poly,
@@ -72,6 +73,7 @@ __all__ = [
     "LfsrSpec",
     "LfsrState",
     "OffsetVector",
+    "PARSE_DEGREE_CAP",
     "SgSpec",
     "ShrinkingKey",
     "UnsupportedSizeError",

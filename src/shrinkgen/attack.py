@@ -4,13 +4,14 @@ IC cell (n, j) is data bit t = n(2^S - 1) + o_j, o_j the position of the
 (j+1)-th 1 in the selector sequence, so every intercepted bit is one GF(2)
 equation in the data state: cell (n, j) = parity(R_n & c_{o_j}), where
 R_n = x^(n(2^S - 1)) mod P_A and c_o is the data state clocked o times.
-Phase one solves the A column-0 equations for the data state.  Phase two
-finds column j's offset by trying o = o_{j-1}+1 .. o_{j-1}+S, one clock each,
-each row one AND and a parity up to its first mismatch, until an offset
-reaches S - 1, which settles all S selector bits.  Last, every known bit is
-read from the recovered key in ascending position, so no keystream is
-generated and no column is built out.  The column polynomial P_D is computed
-only for the result.
+Everything that depends only on the public polynomials is built once, with
+the SgSpec: the masks R_0 .. R_{A-1}, the column polynomial P_D, and the
+inverse of the A column-0 equations.  Phase one is then one AND and a parity
+per data bit.  Phase two finds column j's offset by trying o = o_{j-1}+1 ..
+o_{j-1}+S, one clock each, each row one AND and a parity up to its first
+mismatch, until an offset reaches S - 1, which settles all S selector bits.
+Last, every known bit is read from the recovered key in ascending position,
+so no keystream is generated and no column is built out.
 
 Keys come out in canonical form (selector state starting with 1): a key whose
 selector starts with 0 yields its shift-equivalent canonical key, which
@@ -104,10 +105,8 @@ class _Reader:
         self.spec, self.m, self.cols = spec, m, 1 << (s - 1)
         self.ratio, self.period = (1 << s) - 1, (1 << a) - 1
         self.taps, self.top = m ^ (1 << a), a - 1
-        self.step = _xpow(self.ratio, m)  # x^(2^S - 1) mod P_A: one row down
-        self.rows = [1]  # R_0 .. R_{A-1}
-        for _ in range(a - 1):
-            self.rows.append(_mulmod(self.rows[-1], self.step, m))
+        self.rows = spec._rows  # R_0 .. R_{A-1}, built with the spec
+        self.step = self.rows[1]  # x^(2^S - 1) mod P_A: one row down
 
     def clock(self, c: int) -> int:
         """c_{o+1} from c_o."""
@@ -148,15 +147,19 @@ def _corner(attack_input: AttackInput) -> dict[int, int]:
 
 
 def _solve_data_state(reader: _Reader, known: dict[int, int]) -> int:
-    """Phase one: the data state from the A column-0 equations (R_n, cell (n, 0)).
+    """Phase one: the data state from the A column-0 cells, one AND and a parity per bit.
 
     P_D, the minimal polynomial of x^(2^S - 1), has degree A, so the masks
-    R_0 .. R_{A-1} are independent and the solution is unique.
+    R_0 .. R_{A-1} of the equations (R_n, cell (n, 0)) are independent.  The
+    spec holds the system's inverse: data bit p is parity(inv_p & v), v the
+    column-0 cells as bits.  Row p of the inverse is x^(n_p) mod P_D, n_p from
+    row_positions: it reads cell (n_p, 0), the strategic cell that holds data
+    bit p, off the column's first A cells.
     """
-    cells = [known[n * reader.cols] for n in range(len(reader.rows))]
-    if not any(cells):
+    v = sum(known[n * reader.cols] << n for n in range(len(reader.rows)))
+    if not v:
         raise InconsistentDataError("a genuine column never contains an all-zero window")
-    return _solve(zip(reader.rows, cells), len(cells))[0]
+    return sum(((inv & v).bit_count() & 1) << p for p, inv in enumerate(reader.spec._col0_inverse))
 
 
 def _srs_phase(

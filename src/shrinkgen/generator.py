@@ -7,11 +7,11 @@ interval (A * 2^(S-2), A * 2^(S-1)], and the characteristic polynomial P_D^p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import InconsistentDataError
-from .gf2 import BinaryPolynomial, _mulmod, berlekamp_massey, coset_min_poly
+from .gf2 import BinaryPolynomial, _inverse, _mulmod, _powers, _xpow, berlekamp_massey
 from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_stream
 
 
@@ -26,18 +26,37 @@ def _check_lengths(a: int, s: int) -> None:
 
 @dataclass(frozen=True)
 class SgSpec:
-    """Public parameters: data polynomial pa (degree A), selector polynomial ps (degree S)."""
+    """Public parameters: data polynomial pa (degree A), selector polynomial ps (degree S).
+
+    Construction also does, once, the attack's work that depends on nothing
+    but the polynomials: the IC row masks R_n = x^(n(2^S - 1)) mod P_A for
+    n < A, the column polynomial P_D, and the inverse of the column-0 system
+    (R_n, cell (n, 0)), whose row p gives data bit p from the A cells.
+    """
 
     pa: BinaryPolynomial
     ps: BinaryPolynomial
+    _sra: LfsrSpec = field(init=False, repr=False, compare=False)
+    _srs: LfsrSpec = field(init=False, repr=False, compare=False)
+    _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _pd: BinaryPolynomial = field(init=False, repr=False, compare=False)
+    _col0_inverse: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a, s = self.pa.degree, self.ps.degree
         if a is None or s is None or s < 1:
             raise ValueError("both polynomials must have degree >= 1")
         _check_lengths(a, s)
-        LfsrSpec(self.pa)
-        LfsrSpec(self.ps)
+        sra, srs = LfsrSpec(self.pa), LfsrSpec(self.ps)
+        m = self.pa.mask
+        rows = _powers(_xpow((1 << s) - 1, m), 2 * a, m)  # R_0 .. R_{2A-1}
+        # Bit 0 of R_n is cell (n, 0) under data state 1: 2A terms of a
+        # nonzero sequence of linear complexity A, enough for Berlekamp-Massey.
+        pd = berlekamp_massey(row & 1 for row in rows)[1]
+        rows = tuple(rows[:a])
+        for name, value in (("_sra", sra), ("_srs", srs), ("_rows", rows), ("_pd", pd),
+                            ("_col0_inverse", _inverse(rows))):
+            object.__setattr__(self, name, value)
 
     @property
     def a_length(self) -> int:
@@ -49,11 +68,11 @@ class SgSpec:
 
     @property
     def sra(self) -> LfsrSpec:
-        return LfsrSpec(self.pa)
+        return self._sra
 
     @property
     def srs(self) -> LfsrSpec:
-        return LfsrSpec(self.ps)
+        return self._srs
 
 
 @dataclass(frozen=True)
@@ -65,8 +84,8 @@ class ShrinkingKey:
 
 
 def column_poly(spec: SgSpec) -> BinaryPolynomial:
-    """Characteristic polynomial P_D shared by all IC columns."""
-    return coset_min_poly((1 << spec.s_length) - 1, spec.pa)
+    """Characteristic polynomial P_D shared by all IC columns, built with the spec."""
+    return spec._pd
 
 
 def _check_key(spec: SgSpec, key: ShrinkingKey) -> None:

@@ -8,8 +8,9 @@ above the degree, and the zero polynomial is mask 0 with degree ``None``.
 The text format is a sum of ``x^k`` terms in descending powers, with ``x``
 for k = 1 and ``1`` for k = 0.  ``BinaryPolynomial.parse`` also accepts a
 hex mask prefixed with ``0x``; ``str()`` always prints the text form.
-Exponents and hex digits are ASCII only.  All arithmetic is on masks:
-``_mulmod`` and ``_xpow`` are the only polynomial products and powers.
+Exponents and hex digits are ASCII only, and no exponent may exceed
+``PARSE_DEGREE_CAP``.  All arithmetic is on masks: ``_mulmod`` and ``_xpow``
+are the only polynomial products and powers.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from .errors import UnsupportedSizeError
 # Primitivity testing needs the full factorization of 2^L - 1; trial
 # division past this degree would dominate everything else done here.
 FACTOR_DEGREE_CAP = 40
+
+# Highest exponent a polynomial term may carry in text: far above any degree
+# the toolkit works at, and low enough that building the mask costs nothing.
+PARSE_DEGREE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -70,14 +75,14 @@ class BinaryPolynomial:
                     k = int(term[2:])
                 except ValueError:  # more digits than Python converts to int
                     raise ValueError(f"exponent of term {term!r} is too long") from None
+                if k > PARSE_DEGREE_CAP:
+                    raise ValueError(
+                        f"exponent of term {term!r} exceeds the degree cap {PARSE_DEGREE_CAP}")
             else:
                 raise ValueError(f"bad polynomial term {term!r} in {text!r}")
             if (mask >> k) & 1:
                 raise ValueError(f"duplicate term x^{k} in {text!r}")
-            try:
-                mask |= 1 << k
-            except OverflowError:
-                raise ValueError(f"exponent {k} is too large in {text!r}") from None
+            mask |= 1 << k
         return cls(mask)
 
     def __str__(self) -> str:
@@ -117,6 +122,14 @@ def _mulmod(u: int, v: int, m: int) -> int:
     return acc
 
 
+def _powers(base: int, count: int, m: int) -> list[int]:
+    """base^0 .. base^(count - 1) mod m, for base already reduced mod m."""
+    powers = [1]
+    for _ in range(count - 1):
+        powers.append(_mulmod(powers[-1], base, m))
+    return powers
+
+
 def _xpow(k: int, m: int) -> int:
     """x^k mod m on masks, for m of degree >= 1."""
     result, base = 1, _mulmod(1, 2, m)  # x mod m
@@ -128,15 +141,16 @@ def _xpow(k: int, m: int) -> int:
     return result
 
 
-def _solve(rows: Iterable[tuple[int, int]], n: int) -> tuple[int, list[int]] | None:
-    """Solve parity(mask & c) = bit for an n-bit mask c by Gauss-Jordan elimination.
+def _eliminate(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]] | None:
+    """Gauss-Jordan elimination of the rows parity(mask & c) = rhs, read lazily.
 
-    Reads the (mask, bit) rows lazily and returns None at the first one that
-    contradicts the rows before it.  Otherwise returns (c0, basis): the
-    solutions are c0 xor every sum of basis vectors, one per free bit, so the
-    rank is n - len(basis).
+    The right-hand side is xored along with its mask, so one int may carry
+    several right-hand sides as its bits.  Returns None at the first row that
+    reduces to mask 0 with a nonzero right-hand side.  Otherwise maps each
+    pivot bit to its reduced (mask, rhs) row, whose mask is free of every
+    other pivot bit.
     """
-    pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> row, free of every other pivot bit
+    pivots: dict[int, tuple[int, int]] = {}
     for mask, bit in rows:
         for p, (pmask, pbit) in pivots.items():
             if mask >> p & 1:
@@ -150,10 +164,35 @@ def _solve(rows: Iterable[tuple[int, int]], n: int) -> tuple[int, list[int]] | N
             if qmask >> p & 1:
                 pivots[q] = qmask ^ mask, qbit ^ bit
         pivots[p] = mask, bit
+    return pivots
+
+
+def _solve(rows: Iterable[tuple[int, int]], n: int) -> tuple[int, list[int]] | None:
+    """Solve parity(mask & c) = bit for an n-bit mask c by Gauss-Jordan elimination.
+
+    Reads the (mask, bit) rows lazily and returns None at the first one that
+    contradicts the rows before it.  Otherwise returns (c0, basis): the
+    solutions are c0 xor every sum of basis vectors, one per free bit, so the
+    rank is n - len(basis).
+    """
+    pivots = _eliminate(rows)
+    if pivots is None:
+        return None
     c0 = sum(bit << p for p, (_, bit) in pivots.items())
     basis = [(1 << f) | sum(1 << p for p, (mask, _) in pivots.items() if mask >> f & 1)
              for f in range(n) if f not in pivots]
     return c0, basis
+
+
+def _inverse(masks: list[int]) -> tuple[int, ...]:
+    """Inverse of the system parity(masks[i] & c) = v_i, for n independent n-bit masks.
+
+    Eliminates every row with its own index as right-hand side, so pivot p
+    ends as mask 1 << p beside the set of rows that sum to it: bit p of the
+    solution c is parity(inverse[p] & v), v holding v_i at bit i.
+    """
+    pivots = _eliminate((mask, 1 << i) for i, mask in enumerate(masks))
+    return tuple(pivots[p][1] for p in range(len(masks)))
 
 
 @lru_cache(maxsize=None)
@@ -203,12 +242,7 @@ def coset_min_poly(n: int, pa: BinaryPolynomial) -> BinaryPolynomial:
     m = (1 << a) - 1
     if not 1 <= n < m:
         raise ValueError(f"exponent must lie in [1, {m})")
-    beta = _xpow(n, pa.mask)
-    power, bits = 1, []
-    for _ in range(2 * a):
-        bits.append(power & 1)
-        power = _mulmod(power, beta, pa.mask)
-    return berlekamp_massey(bits)[1]
+    return berlekamp_massey(p & 1 for p in _powers(_xpow(n, pa.mask), 2 * a, pa.mask))[1]
 
 
 def berlekamp_massey(bits: Iterable[int]) -> tuple[int, BinaryPolynomial]:

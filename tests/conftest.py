@@ -29,6 +29,7 @@ PRIMITIVE_POLYS = {
     8: "x^8+x^4+x^3+x^2+1",
     9: "x^9+x^4+1",
     10: "x^10+x^3+1",
+    11: "x^11+x^2+1",
     12: "x^12+x^6+x^4+x+1",
     21: "x^21+x^2+1",
     31: "x^31+x^3+1",

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,6 +42,7 @@ from shrinkgen import (
     brute_force,
     build_ic,
     column_poly,
+    coset_min_poly,
     extend_column,
     ic_source_index,
     lfsr_generate,
@@ -50,8 +52,8 @@ from shrinkgen import (
     shrink,
     shrunken_period,
 )
-from shrinkgen.attack import _Reader, _check_regeneration
-from shrinkgen.gf2 import _xpow
+from shrinkgen.attack import _Reader, _check_regeneration, _solve_data_state
+from shrinkgen.gf2 import _powers, _solve, _xpow
 
 
 class TestColumnPoly:
@@ -451,6 +453,42 @@ class TestReader:
             for pos, j, bit, row in reader.cells((p, z[p]) for p in positions):
                 t = ones[0] + ic_source_index(pos // cols, j, offsets, a, s)
                 assert (row & states[j]).bit_count() & 1 == bit == a_seq[t], (s0, pos)
+
+
+TABLE_SIZES = [(a, s) for a in range(2, 13) for s in range(1, a) if gcd(a, s) == 1]
+TABLE_SIZES += [(21, 5), (21, 8), (31, 3), (31, 5)]
+
+
+class TestSpecTables:
+    """The per-spec work an SgSpec does once, against the per-call computations it replaces."""
+
+    @pytest.mark.parametrize("a,s", TABLE_SIZES)
+    def test_rows_and_column_poly(self, a, s):
+        spec = make_spec(a, s)
+        ratio = (1 << s) - 1
+        assert spec._rows == tuple(_xpow(n * ratio, spec.pa.mask) for n in range(a))
+        assert spec._pd == column_poly(spec) == coset_min_poly(ratio, spec.pa)
+
+    @pytest.mark.parametrize("a,s", TABLE_SIZES)
+    def test_inverse_rows_read_the_strategic_cells(self, a, s):
+        # row i is x^(n_i) mod P_D, the column-0 cell that holds data bit a_i, and also
+        # (x^((2^S - 1)^-1) mod P_D)^i, since n_i = i (2^S - 1)^-1 mod 2^A - 1
+        spec = make_spec(a, s)
+        pd = spec._pd.mask
+        assert spec._col0_inverse == tuple(_xpow(n, pd) for n in row_positions(a, s))
+        step = _xpow(mod_inverse((1 << s) - 1, (1 << a) - 1), pd)
+        assert spec._col0_inverse == tuple(_powers(step, a, pd))
+
+    @pytest.mark.parametrize("a,s", TABLE_SIZES)
+    def test_phase_one_matches_elimination(self, a, s):
+        spec = make_spec(a, s)
+        reader, cols = _Reader(spec), 1 << (s - 1)
+        rng = random.Random(151 * a + s)
+        for _ in range(8):
+            v = rng.randrange(1, 1 << a)
+            bits = [v >> n & 1 for n in range(a)]
+            known = {n * cols: bit for n, bit in enumerate(bits)}
+            assert _solve_data_state(reader, known) == _solve(zip(spec._rows, bits), a)[0]
 
 
 # sha256 of `digest_outcomes`, computed with the attack that read cells on the column

@@ -22,7 +22,7 @@ from conftest import (
     random_key,
     submatrix_known,
 )
-from shrinkgen import KnownBits, LfsrState, ShrinkingKey, shrink, shrunken_period
+from shrinkgen import PARSE_DEGREE_CAP, KnownBits, LfsrState, ShrinkingKey, shrink, shrunken_period
 from shrinkgen.cli import run
 
 
@@ -391,6 +391,22 @@ class TestUsage:
         code, out, err = invoke(capsys, verb, "--pa", "x^100000000000000000000+1", *flags)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_exponent_past_the_degree_cap_exits_1(self, capsys):
+        term = f"x^{PARSE_DEGREE_CAP + 1}"
+        code, out, err = invoke(capsys, "coset", "--pa", f"{term}+1", "--s", "2")
+        assert (code, out) == (1, "")
+        assert err == f"error: exponent of term '{term}' exceeds the degree cap {PARSE_DEGREE_CAP}\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text() | st.text(alphabet="x^+0123456789abcdefX -"), s=st.integers(0, 4))
+    def test_coset_exit_code_contract(self, text, s):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["coset", "--pa", text, "--s", str(s)])
+        assert code in (0, 1, 2)
+        if code:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
 
     def test_number_past_the_int_string_limit_exits_1(self, capsys, tmp_path):
         # Python refuses to convert decimal strings of more than 4,300 digits to int

@@ -1,5 +1,7 @@
 """Shrinking-generator behavior: decimation rule, period, linear complexity."""
 
+import dataclasses
+import inspect
 import random
 import re
 from math import gcd
@@ -11,6 +13,7 @@ from conftest import KAT_P, KAT_PD, make_spec, primitive, random_key
 from shrinkgen import (
     BinaryPolynomial,
     InconsistentDataError,
+    LfsrSpec,
     LfsrState,
     SgSpec,
     ShrinkingKey,
@@ -47,6 +50,39 @@ class TestSgSpec:
     def test_degenerate_selector_admitted(self):
         spec = SgSpec(primitive(3), primitive(1))
         assert spec.s_length == 1
+
+    def test_value_semantics_ignore_the_tables(self):
+        # the tables built with a spec are private fields outside equality, hash and repr
+        pa, ps = primitive(7), primitive(3)
+        spec = SgSpec(pa, ps)
+        assert list(inspect.signature(SgSpec).parameters) == ["pa", "ps"]
+        assert spec == SgSpec(pa, ps) and hash(spec) == hash(SgSpec(pa, ps))
+        assert spec != SgSpec(pa, primitive(2))
+        assert repr(spec) == f"SgSpec(pa={pa!r}, ps={ps!r})"
+        other = dataclasses.replace(spec, ps=primitive(2))
+        assert other == SgSpec(pa, primitive(2))
+        assert other._pd == column_poly(SgSpec(pa, primitive(2))) != spec._pd
+
+    def test_register_specs_built_once(self):
+        spec = make_spec(7, 3)
+        assert spec.sra is spec.sra and spec.sra == LfsrSpec(primitive(7))
+        assert spec.srs is spec.srs and spec.srs == LfsrSpec(primitive(3))
+
+    @pytest.mark.parametrize("pa, ps, message", [
+        ("x^4+x^3+1", "1", "both polynomials must have degree >= 1"),
+        ("x^4+x^3+1", "x^4+x+1", "selector length 4 must be smaller than data length 4"),
+        ("x^4+x+1", "x^2+x+1", "register lengths 2 and 4 must be coprime"),
+        ("x^5+x^4+1", "x^2+x+1", "x^5+x^4+1 is not primitive"),
+        ("x^5+x^2+1", "x^2+1", "x^2+1 is not primitive"),
+    ])
+    def test_validation_precedes_the_tables(self, monkeypatch, pa, ps, message):
+        def unreachable(*args):
+            raise AssertionError("tables built for an invalid spec")
+
+        monkeypatch.setattr("shrinkgen.generator._powers", unreachable)
+        monkeypatch.setattr("shrinkgen.generator._inverse", unreachable)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SgSpec(BinaryPolynomial.parse(pa), BinaryPolynomial.parse(ps))
 
 
 class TestShrink:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import PRIMITIVE_POLYS, primitive
 from shrinkgen import (
+    PARSE_DEGREE_CAP,
     BinaryPolynomial,
     LfsrSpec,
     LfsrState,
@@ -45,6 +46,23 @@ class TestBinaryPolynomial:
         with pytest.raises(ValueError) as exc:
             BinaryPolynomial.parse(bad)
         assert "set_int_max_str_digits" not in str(exc.value)
+
+    def test_exponent_cap(self):
+        assert BinaryPolynomial.parse(f"x^{PARSE_DEGREE_CAP}+1").degree == PARSE_DEGREE_CAP
+        for k in (PARSE_DEGREE_CAP + 1, 10**6):
+            with pytest.raises(ValueError) as exc:
+                BinaryPolynomial.parse(f"x^{PARSE_DEGREE_CAP}+x^{k}+1")
+            assert str(exc.value) == (
+                f"exponent of term 'x^{k}' exceeds the degree cap {PARSE_DEGREE_CAP}")
+
+    @settings(max_examples=300)
+    @given(st.text() | st.text(alphabet="x^+0123456789abcdefX \n\u0665_-"))
+    def test_parse_returns_a_polynomial_or_raises_value_error(self, text):
+        try:
+            p = BinaryPolynomial.parse(text)
+        except ValueError:
+            return
+        assert BinaryPolynomial.parse(str(p)) == p
 
     def test_zero_degree_sentinel(self):
         assert BinaryPolynomial(0).degree is None

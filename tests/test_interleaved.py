@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from conftest import (
@@ -56,6 +58,16 @@ class TestKnownBits:
             with pytest.raises(ValueError, match="^line 1: ") as exc:
                 KnownBits.parse(line + "\n")
             assert "set_int_max_str_digits" not in str(exc.value)
+
+    @given(st.text() | st.text(alphabet="0123456789 \n\t#-+_\u0665"))
+    def test_parse_returns_known_bits_or_raises_value_error(self, text):
+        try:
+            known = KnownBits.parse(text)
+        except ValueError:
+            return
+        positions = known.positions()
+        assert list(positions) == sorted(set(positions))
+        assert all(bit in (0, 1) for _, bit in known.items())
 
     def test_duplicate_positions_rejected(self):
         with pytest.raises(ValueError):

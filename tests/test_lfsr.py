@@ -4,6 +4,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from conftest import primitive
@@ -18,6 +20,9 @@ from shrinkgen import (
     mod_inverse,
 )
 
+# Text close to a bit string: 0s and 1s mixed with whitespace and near misses.
+BIT_TEXT = st.text(alphabet="01 \n\t2a\u0661")
+
 
 class TestBitSequence:
     def test_parse_and_str(self):
@@ -29,6 +34,13 @@ class TestBitSequence:
         with pytest.raises(ValueError):
             BitSequence.parse("10021")
 
+    @given(st.text() | BIT_TEXT)
+    def test_parse_returns_bits_or_raises_value_error(self, text):
+        try:
+            seq = BitSequence.parse(text)
+        except ValueError:
+            return
+        assert BitSequence.parse(str(seq)) == seq
 
 
 class TestLfsrState:
@@ -40,6 +52,14 @@ class TestLfsrState:
         assert LfsrState.parse("10011").bits == (1, 0, 0, 1, 1)
         with pytest.raises(ValueError):
             LfsrState.parse("10a1")
+
+    @given(st.text() | BIT_TEXT)
+    def test_parse_returns_a_state_or_raises_value_error(self, text):
+        try:
+            state = LfsrState.parse(text)
+        except ValueError:
+            return
+        assert LfsrState.parse(str(state)) == state and any(state.bits)
 
 
 class TestLfsrSpec:
