@@ -5,13 +5,15 @@ IC cell (n, j) is data bit t = n(2^S - 1) + o_j, o_j the position of the
 equation in the data state: cell (n, j) = parity(R_n & c_{o_j}), where
 R_n = x^(n(2^S - 1)) mod P_A and c_o is the data state clocked o times.
 Everything that depends only on the public polynomials is built once, with
-the SgSpec: the masks R_0 .. R_{A-1}, the column polynomial P_D, and the
-inverse of the A column-0 equations.  Phase one is then one AND and a parity
-per data bit.  Phase two finds column j's offset by trying o = o_{j-1}+1 ..
+the SgSpec: the masks R_0 .. R_{A-1}, the column polynomial P_D, the inverse
+of the A column-0 equations, and a jump table on P_A that gives any other R_n
+in at most ceil(A/4) multiplies.  Phase one is then one AND and a parity per
+data bit.  Phase two finds column j's offset by trying o = o_{j-1}+1 ..
 o_{j-1}+S, one clock each, each row one AND and a parity up to its first
 mismatch, until an offset reaches S - 1, which settles all S selector bits.
 Last, every known bit is read from the recovered key in ascending position,
-so no keystream is generated and no column is built out.
+so no keystream is generated and no column is built out: a row directly
+below the last one read is one multiply, any other row one jump.
 
 Keys come out in canonical form (selector state starting with 1): a key whose
 selector starts with 0 yields its shift-equivalent canonical key, which
@@ -26,7 +28,7 @@ from itertools import islice, product
 from typing import Iterable, Iterator
 
 from .errors import InconsistentDataError, InsufficientInputError, UnsupportedSizeError
-from .gf2 import BinaryPolynomial, _mulmod, _solve, _xpow, mod_inverse
+from .gf2 import BinaryPolynomial, _jump, _mulmod, _solve, mod_inverse
 from .generator import SgSpec, ShrinkingKey, column_poly
 from .interleaved import KnownBits, OffsetVector
 from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_generate, lfsr_stream
@@ -106,6 +108,7 @@ class _Reader:
         self.ratio, self.period = (1 << s) - 1, (1 << a) - 1
         self.taps, self.top = m ^ (1 << a), a - 1
         self.rows = spec._rows  # R_0 .. R_{A-1}, built with the spec
+        self.jumps = spec._jumps
         self.step = self.rows[1]  # x^(2^S - 1) mod P_A: one row down
 
     def clock(self, c: int) -> int:
@@ -115,9 +118,11 @@ class _Reader:
     def cells(self, known: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, int, int]]:
         """(pos, j, bit, R_n) per known (pos, bit) pair, ascending; pos is cell (n, j).
 
-        Rows below A come from the table; any other row is one multiply from
-        row n - 1 if that was the previous row read, else one jump.  R_n is
-        periodic in n, so positions past one keystream period read as well.
+        Rows below A come from the spec's row table; any other row is one
+        multiply from row n - 1 if that was the previous row read, else one
+        jump through the spec's jump table: at most ceil(A/4) multiplies, no
+        squarings.  R_n is periodic in n, so positions past one keystream
+        period read as well.
         """
         last, row = -1, 0
         for pos, bit in known:
@@ -128,7 +133,7 @@ class _Reader:
                 elif n == last + 1:
                     row = _mulmod(row, self.step, self.m)
                 else:
-                    row = _xpow(n * self.ratio % self.period, self.m)
+                    row = _jump(self.jumps, n * self.ratio % self.period, self.m)
                 last = n
             yield pos, j, bit, row
 
@@ -249,8 +254,8 @@ def attack(attack_input: AttackInput) -> AttackResult:
     Needs the A x S top-left IC cells, i.e. keystream positions
     n * 2^(S-1) + j for n < A, j < S.  Any further known bits, at any
     position, only feed the final check, which reads each from the key by
-    one AND, plus one multiply or one jump on P_A per row, so a far position
-    costs no more than a near one.
+    one AND, plus per row one multiply on P_A or one jump of at most
+    ceil(A/4) multiplies, so a far position costs no more than a near one.
     """
     spec = attack_input.spec
     a = spec.a_length

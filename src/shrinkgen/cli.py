@@ -176,7 +176,8 @@ def _cmd_coset(args) -> None:
 def _cmd_ic(args) -> None:
     spec = _spec_from(args)
     known = _known_from(args, spec, submatrix_only=False)
-    print(build_ic(known, spec.a_length, spec.s_length).dump())
+    for line in build_ic(known, spec.a_length, spec.s_length).lines():
+        print(line)
 
 
 _HANDLERS = {

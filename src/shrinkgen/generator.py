@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import InconsistentDataError
-from .gf2 import BinaryPolynomial, _inverse, _mulmod, _powers, _xpow, berlekamp_massey
+from .gf2 import BinaryPolynomial, _inverse, _jump_table, _mulmod, _powers, _xpow, berlekamp_massey
 from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_stream
 
 
@@ -30,8 +30,9 @@ class SgSpec:
 
     Construction also does, once, the attack's work that depends on nothing
     but the polynomials: the IC row masks R_n = x^(n(2^S - 1)) mod P_A for
-    n < A, the column polynomial P_D, and the inverse of the column-0 system
-    (R_n, cell (n, 0)), whose row p gives data bit p from the A cells.
+    n < A, the column polynomial P_D, the inverse of the column-0 system
+    (R_n, cell (n, 0)), whose row p gives data bit p from the A cells, and a
+    jump table on P_A that reads any other row in at most ceil(A/4) multiplies.
     """
 
     pa: BinaryPolynomial
@@ -41,6 +42,7 @@ class SgSpec:
     _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _pd: BinaryPolynomial = field(init=False, repr=False, compare=False)
     _col0_inverse: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _jumps: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a, s = self.pa.degree, self.ps.degree
@@ -55,7 +57,7 @@ class SgSpec:
         pd = berlekamp_massey(row & 1 for row in rows)[1]
         rows = tuple(rows[:a])
         for name, value in (("_sra", sra), ("_srs", srs), ("_rows", rows), ("_pd", pd),
-                            ("_col0_inverse", _inverse(rows))):
+                            ("_col0_inverse", _inverse(rows)), ("_jumps", _jump_table(m))):
             object.__setattr__(self, name, value)
 
     @property

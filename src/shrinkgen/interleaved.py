@@ -111,13 +111,15 @@ class InterleavedConfig:
     def __len__(self) -> int:
         return len(self._known)
 
-    def dump(self) -> str:
-        """One matrix row per line; '.' marks unknown cells."""
-        lines = []
+    def lines(self) -> Iterator[str]:
+        """One line per matrix row, each built when it is read; '.' marks unknown cells."""
         for start in range(0, self.rows * self.cols, self.cols):
             row = [self._known.get(pos) for pos in range(start, start + self.cols)]
-            lines.append("".join("." if b is None else str(b) for b in row))
-        return "\n".join(lines)
+            yield "".join("." if b is None else str(b) for b in row)
+
+    def dump(self) -> str:
+        """One matrix row per line; '.' marks unknown cells."""
+        return "\n".join(self.lines())
 
     def __repr__(self) -> str:
         return f"<InterleavedConfig {self.rows}x{self.cols}, {len(self._known)} known>"

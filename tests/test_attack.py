@@ -1,6 +1,7 @@
 """Two-phase key recovery, its invariants, and key enumeration by guess-and-solve."""
 
 import hashlib
+import importlib
 import random
 from math import gcd
 
@@ -53,6 +54,7 @@ from shrinkgen import (
     shrunken_period,
 )
 from shrinkgen.attack import _Reader, _check_regeneration, _solve_data_state
+from shrinkgen import gf2
 from shrinkgen.gf2 import _powers, _solve, _xpow
 
 
@@ -455,6 +457,46 @@ class TestReader:
                 assert (row & states[j]).bit_count() & 1 == bit == a_seq[t], (s0, pos)
 
 
+    @pytest.mark.parametrize("a,s", [(21, 5), (31, 3)])
+    def test_far_rows_match_xpow(self, a, s):
+        # rows up to 10^12, far apart (jumps) or right below the row before (one multiply)
+        rng = random.Random(157 * a + s)
+        spec = make_spec(a, s)
+        ratio, period, cols = (1 << s) - 1, (1 << a) - 1, 1 << (s - 1)
+        rows = {n + d for n in (rng.randrange(10**12) for _ in range(200)) for d in (0, 1)}
+        rows |= {0, a - 1, a, a + 1, 10**12}
+        known = [(n * cols + rng.randrange(cols), 0) for n in sorted(rows)]
+        for pos, _, _, row in _Reader(spec).cells(known):
+            n = pos // cols
+            assert row == _xpow(n * ratio % period, spec.pa.mask), n
+
+    @pytest.mark.parametrize("a,s", [(12, 7), (21, 5), (31, 3)])
+    def test_far_row_costs_at_most_a_quarter_a_multiplies(self, monkeypatch, a, s):
+        # counts multiplies, not time: an attack on the corner plus one known bit in a row
+        # that neither lies in the corner nor follows it reads that row by one jump
+        calls, mulmod = [], gf2._mulmod
+
+        def counted(u, v, m):
+            calls.append(m)
+            return mulmod(u, v, m)
+
+        monkeypatch.setattr(gf2, "_mulmod", counted)
+        monkeypatch.setattr(importlib.import_module("shrinkgen.attack"), "_mulmod", counted)
+        rng = random.Random(163 * a + s)
+        spec = make_spec(a, s)
+        cols, counts = 1 << (s - 1), []
+        for _ in range(20):
+            key = random_key(rng, spec, s0=1)
+            known = dict(submatrix_known(spec, key).items())
+            pos = rng.randrange(a + 1, (1 << a) - 1) * cols + rng.randrange(cols)
+            known[pos] = ic_identity_bit(spec, key, pos)
+            calls.clear()
+            result = attack(AttackInput(spec, KnownBits(known)))
+            assert ShrinkingKey(result.sra_state, result.srs_state) == key
+            counts.append(len(calls))
+        assert 0 < max(counts) <= -(-a // 4), counts
+
+
 TABLE_SIZES = [(a, s) for a in range(2, 13) for s in range(1, a) if gcd(a, s) == 1]
 TABLE_SIZES += [(21, 5), (21, 8), (31, 3), (31, 5)]
 
@@ -468,6 +510,13 @@ class TestSpecTables:
         ratio = (1 << s) - 1
         assert spec._rows == tuple(_xpow(n * ratio, spec.pa.mask) for n in range(a))
         assert spec._pd == column_poly(spec) == coset_min_poly(ratio, spec.pa)
+
+    @pytest.mark.parametrize("a,s", TABLE_SIZES)
+    def test_jump_table(self, a, s):
+        spec = make_spec(a, s)
+        assert len(spec._jumps) == -(-a // 4)
+        for i, row in enumerate(spec._jumps):
+            assert row == tuple(_xpow(d << 4 * i, spec.pa.mask) for d in range(16))
 
     @pytest.mark.parametrize("a,s", TABLE_SIZES)
     def test_inverse_rows_read_the_strategic_cells(self, a, s):

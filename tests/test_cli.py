@@ -5,6 +5,7 @@ import random
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
+from math import gcd
 from pathlib import Path
 from time import perf_counter
 
@@ -22,7 +23,16 @@ from conftest import (
     random_key,
     submatrix_known,
 )
-from shrinkgen import PARSE_DEGREE_CAP, KnownBits, LfsrState, ShrinkingKey, shrink, shrunken_period
+from shrinkgen import (
+    PARSE_DEGREE_CAP,
+    BinaryPolynomial,
+    KnownBits,
+    LfsrState,
+    ShrinkingKey,
+    build_ic,
+    shrink,
+    shrunken_period,
+)
 from shrinkgen.cli import run
 
 
@@ -354,6 +364,100 @@ class TestIcVerb:
         code, out, _ = invoke(capsys, "ic", "--pa", KAT_PA, "--ps", KAT_PS, "--keystream", str(path))
         assert code == 0
         assert "." not in out.strip()
+
+    def test_streamed_rows_match_the_whole_matrix_at_the_kat_size(self, capsys, known_file):
+        code, out, err = invoke(capsys, "ic", "--pa", KAT_PA, "--ps", KAT_PS, "--known", known_file)
+        known = KnownBits.parse(Path(known_file).read_text())
+        assert (code, err) == (0, "")
+        assert out == whole_matrix_dump(known, 5, 4) == build_ic(known, 5, 4).dump() + "\n"
+
+    def test_streamed_rows_match_the_whole_matrix_at_8_3(self, capsys, tmp_path):
+        spec = make_spec(8, 3)
+        z = shrink(spec, random_key(random.Random(167), spec), 700)
+        path = tmp_path / "ks.txt"
+        path.write_text(f"{z}\n")
+        code, out, err = invoke(capsys, "ic", "--pa", PRIMITIVE_POLYS[8], "--ps", PRIMITIVE_POLYS[3],
+                                "--keystream", str(path))
+        known = KnownBits.from_prefix(z)
+        assert (code, err) == (0, "")
+        assert out == whole_matrix_dump(known, 8, 3) == build_ic(known, 8, 3).dump() + "\n"
+        assert len(out.splitlines()) == 255
+
+
+def whole_matrix_dump(known: KnownBits, a: int, s: int) -> str:
+    """The IC as one string built cell by cell, the way `ic` printed it before it streamed rows."""
+    cols, cells = 1 << (s - 1), dict(known.items())
+    return "\n".join("".join(str(cells.get(n * cols + j, ".")) for j in range(cols))
+                     for n in range((1 << a) - 1)) + "\n"
+
+
+# Polynomials of degree <= 8 (primitive or not) or any text; states, counts and files any text.
+# A count or a selector length is never drawn as digits past its range, so no verb is asked for
+# a huge output: `gen --n` stays <= 512.
+FUZZ_POLYS = st.sampled_from(
+    [PRIMITIVE_POLYS[d] for d in range(1, 9)] + ["x^4+x^3+x^2+x+1", "x^6+x^3+1", "x^2+1", "x", "1", "0"]
+) | st.text(max_size=12)
+FUZZ_SPECS = st.sampled_from([(PRIMITIVE_POLYS[a], PRIMITIVE_POLYS[s])
+                              for a in range(2, 9) for s in range(1, a) if gcd(a, s) == 1]
+                             ) | st.tuples(FUZZ_POLYS, FUZZ_POLYS)
+FUZZ_STATES = st.text(alphabet="01", max_size=10) | st.text(max_size=10)
+NO_DIGITS = st.text(alphabet=st.characters(blacklist_categories=("Nd",)), max_size=6)
+FUZZ_FILES = (
+    st.text(max_size=200).map(str.encode)
+    | st.text(alphabet="01\n ", max_size=600).map(str.encode)
+    | st.lists(st.tuples(st.integers(0, 10**15), st.integers(0, 2)), max_size=12).map(
+        lambda pairs: "".join(f"{p} {b}\n" for p, b in pairs).encode())
+    | st.binary(max_size=64)
+)
+
+
+def fuzz_state(draw, poly):
+    """A state as long as poly's degree, when poly parses to degree <= 10, or any state."""
+    try:
+        n = BinaryPolynomial.parse(poly).degree or 0
+    except ValueError:
+        n = 0
+    exact = st.text(alphabet="01", min_size=n, max_size=n) if n <= 10 else st.nothing()
+    return draw(exact | FUZZ_STATES)
+
+
+@st.composite
+def verb_argvs(draw, verb):
+    """(argv, file flag, file contents) for one verb; the flag is None for a verb that reads no
+    file, and the contents are None for a file that does not exist."""
+    if verb == "coset":
+        s = draw(st.integers(-2, 10).map(str) | NO_DIGITS)
+        return [verb, "--pa", draw(FUZZ_POLYS), "--s", s], None, None
+    pa, ps = draw(FUZZ_SPECS)
+    argv = [verb, "--pa", pa, "--ps", ps]
+    if verb in ("gen", "analyze"):
+        argv += ["--sra", fuzz_state(draw, argv[2]), "--srs", fuzz_state(draw, argv[4])]
+        if verb == "gen":
+            argv += ["--n", draw(st.integers(-8, 512).map(str) | NO_DIGITS)]
+        return argv, None, None
+    return argv, draw(st.sampled_from(["--known", "--keystream"])), draw(FUZZ_FILES | st.none())
+
+
+class TestArgvFuzz:
+    @pytest.mark.parametrize("verb", ["gen", "attack", "brute", "analyze", "coset", "ic"])
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.data())
+    def test_exit_code_contract(self, tmp_path_factory, verb, case):
+        # every verb returns 0, 1 or 2 without a traceback; a failure prints one stderr line only
+        argv, flag, data = case.draw(verb_argvs(verb))
+        if flag is not None:
+            path = tmp_path_factory.getbasetemp() / f"fuzz-{verb}.txt"
+            path.unlink(missing_ok=True)
+            if data is not None:
+                path.write_bytes(data)
+            argv += [flag, str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2)
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestReadmeExamples:

@@ -81,6 +81,7 @@ class TestSgSpec:
 
         monkeypatch.setattr("shrinkgen.generator._powers", unreachable)
         monkeypatch.setattr("shrinkgen.generator._inverse", unreachable)
+        monkeypatch.setattr("shrinkgen.generator._jump_table", unreachable)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SgSpec(BinaryPolynomial.parse(pa), BinaryPolynomial.parse(ps))
 

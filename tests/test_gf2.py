@@ -21,7 +21,7 @@ from shrinkgen import (
     mod_inverse,
     poly_is_primitive,
 )
-from shrinkgen.gf2 import _mulmod, _xpow
+from shrinkgen.gf2 import _jump, _jump_table, _mulmod, _xpow
 
 masks = st.integers(min_value=0, max_value=(1 << 16) - 1)
 moduli = st.integers(min_value=2, max_value=(1 << 12) - 1)
@@ -120,6 +120,29 @@ class TestPolyMulMod:
         assert _mulmod(a, b, mm) == _mulmod(b, a, mm)
         assert _mulmod(_mulmod(a, b, mm), c, mm) == _mulmod(a, _mulmod(b, c, mm), mm)
         assert _mulmod(a, b ^ c, mm) == _mulmod(a, b, mm) ^ _mulmod(a, c, mm)
+
+
+class TestJump:
+    @pytest.mark.parametrize("a", [a for a in PRIMITIVE_POLYS if a <= 12])
+    def test_every_exponent_of_a_period(self, a):
+        m = primitive(a).mask
+        table = _jump_table(m)
+        assert len(table) == -(-a // 4)
+        assert all(_jump(table, k, m) == _xpow(k, m) for k in range((1 << a) - 1))
+
+    @pytest.mark.parametrize("a", [21, 31])
+    def test_sampled_exponents(self, a):
+        m = primitive(a).mask
+        table = _jump_table(m)
+        rng = random.Random(a)
+        ks = [0, (1 << a) - 2] + [rng.randrange((1 << a) - 1) for _ in range(1000)]
+        assert all(_jump(table, k, m) == _xpow(k, m) for k in ks)
+
+    @given(moduli, st.data())
+    def test_any_modulus(self, mm, data):
+        # the table needs no primitive modulus: a product that comes back to 1 still reads right
+        k = data.draw(st.integers(0, (1 << (mm.bit_length() - 1)) - 1))
+        assert _jump(_jump_table(mm), k, mm) == _xpow(k, mm)
 
 
 class TestPrimitivity:

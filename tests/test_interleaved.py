@@ -119,6 +119,12 @@ class TestBuildIc:
         assert lines[4] == "0001...."
         assert lines[30] == "........"
 
+    def test_lines_are_built_as_read(self):
+        # a matrix of 2^21 - 1 rows hands out its first rows without building the rest
+        lines = build_ic(KnownBits({1: 1}), 21, 5).lines()
+        assert next(lines) == ".1" + "." * 14
+        assert next(lines) == "." * 16
+
 
 class TestOffsetVector:
     def test_validation(self):
