@@ -7,10 +7,11 @@ R_n = x^(n(2^S - 1)) mod P_A and c_o is the data state clocked o times.
 Everything that depends only on the public polynomials is built once, with
 the SgSpec: the masks R_0 .. R_{A-1}, the column polynomial P_D, the inverse
 of the A column-0 equations, and a jump table on P_A that gives any other R_n
-in at most ceil(A/4) multiplies.  Phase one is then one AND and a parity per
-data bit.  Phase two finds column j's offset by trying o = o_{j-1}+1 ..
-o_{j-1}+S, one clock each, each row one AND and a parity up to its first
-mismatch, until an offset reaches S - 1, which settles all S selector bits.
+in at most ceil(A/4) multiplies.  The inverse turns the A cells of any
+column j into its data state c_{o_j}, one AND and a parity per bit: phase
+one solves column 0, and phase two solves column j and clocks c_{o_{j-1}}
+to o = o_{j-1}+1 .. o_{j-1}+S, one int compare each, until an offset
+reaches S - 1, which settles all S selector bits.
 Last, every known bit is read from the recovered key in ascending position,
 so no keystream is generated and no column is built out: a row directly
 below the last one read is one multiply, any other row one jump.
@@ -48,7 +49,7 @@ class AttackInput:
 
 @dataclass(frozen=True)
 class WorkCounters:
-    """Effort spent: candidate offsets tried; column bits read (A state rows plus window bits)."""
+    """Effort spent: candidate offsets tried; IC cells read, A per column solved."""
 
     comparisons: int
     column_bits_expanded: int
@@ -151,46 +152,39 @@ def _corner(attack_input: AttackInput) -> dict[int, int]:
     return known
 
 
-def _solve_data_state(reader: _Reader, known: dict[int, int]) -> int:
-    """Phase one: the data state from the A column-0 cells, one AND and a parity per bit.
+def _column_state(reader: _Reader, known: dict[int, int], j: int) -> int:
+    """The data state c_{o_j} from column j's A cells, one AND and a parity per bit.
 
     P_D, the minimal polynomial of x^(2^S - 1), has degree A, so the masks
-    R_0 .. R_{A-1} of the equations (R_n, cell (n, 0)) are independent.  The
-    spec holds the system's inverse: data bit p is parity(inv_p & v), v the
-    column-0 cells as bits.  Row p of the inverse is x^(n_p) mod P_D, n_p from
-    row_positions: it reads cell (n_p, 0), the strategic cell that holds data
-    bit p, off the column's first A cells.
+    R_0 .. R_{A-1} of the equations (R_n, cell (n, j)) are independent.  The
+    spec holds the system's inverse, so a state matches all A cells exactly
+    when it equals this one: bit p is parity(inv_p & v), v the cells as bits.
+    Row p of the inverse is x^(n_p) mod P_D, n_p from row_positions: it reads
+    cell (n_p, j), the strategic cell that holds bit p, off the A cells.
     """
-    v = sum(known[n * reader.cols] << n for n in range(len(reader.rows)))
-    if not v:
-        raise InconsistentDataError("a genuine column never contains an all-zero window")
+    v = sum(known[n * reader.cols + j] << n for n in range(len(reader.rows)))
     return sum(((inv & v).bit_count() & 1) << p for p, inv in enumerate(reader.spec._col0_inverse))
 
 
 def _srs_phase(
     reader: _Reader, known: dict[int, int], c: int
-) -> tuple[LfsrState, OffsetVector, int, int]:
-    """Selector state, offsets, candidate offsets tried and window bits compared."""
-    s, a = reader.spec.s_length, len(reader.rows)
-    offsets, comparisons, bits_read = [0], 0, 0
+) -> tuple[LfsrState, OffsetVector, int]:
+    """Selector state, offsets and candidate offsets tried, from the data state c = c_0."""
+    s, offsets, comparisons = reader.spec.s_length, [0], 0
     while offsets[-1] < s - 1:
         # A selector sequence never runs S zeros: column j starts at most S past column j-1.
         j, last = len(offsets), offsets[-1] + s
-        col = [known[n * reader.cols + j] for n in range(a)]
+        target = _column_state(reader, known, j)
         for o in range(offsets[-1] + 1, last + 1):
             comparisons += 1
             c = reader.clock(c)  # c_o
-            # rows of column j matched before the first mismatch
-            rows = next((n for n, (row, cell) in enumerate(zip(reader.rows, col))
-                         if (row & c).bit_count() & 1 != cell), a)
-            bits_read += min(rows + 1, a)  # the mismatching cell is compared too
-            if rows == a:
+            if c == target:
                 offsets.append(o)
                 break
         else:
             raise InconsistentDataError(f"no offset candidate up to {last} matches column {j}")
     bits = tuple(int(o in offsets) for o in range(s))
-    return LfsrState(bits), OffsetVector(tuple(offsets)), comparisons, bits_read
+    return LfsrState(bits), OffsetVector(tuple(offsets)), comparisons
 
 
 def _ones(spec: SgSpec, srs: LfsrState):
@@ -262,15 +256,17 @@ def attack(attack_input: AttackInput) -> AttackResult:
     known = _corner(attack_input)
     reader = _Reader(spec)
     with _phase("sra-recovery"):
-        c = _solve_data_state(reader, known)
+        c = _column_state(reader, known, 0)
+        if not c:
+            raise InconsistentDataError("a genuine column never contains an all-zero window")
         sra = LfsrState(tuple(c >> i & 1 for i in range(a)))
     with _phase("srs-recovery"):
-        srs, offsets, comparisons, bits_read = _srs_phase(reader, known, c)
+        srs, offsets, comparisons = _srs_phase(reader, known, c)
     with _phase("regeneration-check"):
         _check_regeneration(reader, ShrinkingKey(sra, srs), known.items())
     with _phase("column-poly"):
         pd = column_poly(spec)
-    work = WorkCounters(comparisons=comparisons, column_bits_expanded=a + bits_read)
+    work = WorkCounters(comparisons=comparisons, column_bits_expanded=a * len(offsets))
     return AttackResult(sra, srs, offsets, pd, work)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .attack import AttackInput, attack, brute_force
@@ -17,14 +18,17 @@ from .generator import (
     SgSpec,
     ShrinkingKey,
     _check_lengths,
+    _keystream,
     lc_bounds,
-    shrink,
     shrunken_period,
     verify_shrunken_charpoly,
 )
 from .gf2 import BinaryPolynomial, coset_min_poly
 from .interleaved import KnownBits, build_ic, shrunken_interleaved_check
 from .lfsr import BitSequence, LfsrState
+
+# gen writes the keystream in chunks of this many bits, so its memory does not grow with --n.
+_GEN_CHUNK_BITS = 1 << 16
 
 
 class _UsageError(Exception):
@@ -128,7 +132,10 @@ def _known_from(args, spec: SgSpec, submatrix_only: bool) -> KnownBits:
 
 
 def _cmd_gen(args) -> None:
-    print(shrink(_spec_from(args), _key_from(args), args.n))
+    bits = _keystream(_spec_from(args), _key_from(args), args.n)
+    while chunk := "".join(map(str, islice(bits, _GEN_CHUNK_BITS))):
+        print(chunk, end="")
+    print()
 
 
 def _cmd_attack(args) -> None:

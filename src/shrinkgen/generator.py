@@ -8,7 +8,9 @@ interval (A * 2^(S-2), A * 2^(S-1)], and the characteristic polynomial P_D^p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, islice
 from math import gcd
+from typing import Iterator
 
 from .errors import InconsistentDataError
 from .gf2 import BinaryPolynomial, _inverse, _jump_table, _mulmod, _powers, _xpow, berlekamp_massey
@@ -90,26 +92,21 @@ def column_poly(spec: SgSpec) -> BinaryPolynomial:
     return spec._pd
 
 
-def _check_key(spec: SgSpec, key: ShrinkingKey) -> None:
+def _keystream(spec: SgSpec, key: ShrinkingKey, n: int) -> Iterator[int]:
+    """First n keystream bits, lazily: data bits a_i kept wherever the selector bit s_i is 1."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if key.sra_state.length != spec.a_length:
         raise ValueError(f"SRA state needs {spec.a_length} bits")
     if key.srs_state.length != spec.s_length:
         raise ValueError(f"SRS state needs {spec.s_length} bits")
+    a_bits, s_bits = lfsr_stream(spec.sra, key.sra_state), lfsr_stream(spec.srs, key.srs_state)
+    return islice(compress(a_bits, s_bits), n)
 
 
 def shrink(spec: SgSpec, key: ShrinkingKey, n: int) -> BitSequence:
-    """First n keystream bits: data bits a_i kept wherever the selector bit s_i is 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    _check_key(spec, key)
-    a_bits = lfsr_stream(spec.sra, key.sra_state)
-    s_bits = lfsr_stream(spec.srs, key.srs_state)
-    out = []
-    while len(out) < n:
-        a = next(a_bits)
-        if next(s_bits):
-            out.append(a)
-    return BitSequence(out)
+    """First n keystream bits."""
+    return BitSequence(_keystream(spec, key, n))
 
 
 def shrunken_period(a: int, s: int) -> int:
@@ -138,7 +135,6 @@ def verify_shrunken_charpoly(spec: SgSpec, key: ShrinkingKey) -> tuple[BinaryPol
     polynomial is the column polynomial P_D to a power p, 2^(S-2) < p <= 2^(S-1), and
     returns (P_D, p); any other shape signals a convention bug somewhere upstream.
     """
-    _check_key(spec, key)
     a, s = spec.a_length, spec.s_length
     lc, conn = berlekamp_massey(shrink(spec, key, a << s))
     pd = column_poly(spec)

@@ -53,7 +53,7 @@ from shrinkgen import (
     shrink,
     shrunken_period,
 )
-from shrinkgen.attack import _Reader, _check_regeneration, _solve_data_state
+from shrinkgen.attack import _Reader, _check_regeneration, _column_state
 from shrinkgen import gf2
 from shrinkgen.gf2 import _powers, _solve, _xpow
 
@@ -188,7 +188,7 @@ class TestAttack:
         assert tuple(result.offsets) == KAT_OFFSETS
         assert result.column_poly == BinaryPolynomial.parse(KAT_PD)
         assert result.work.comparisons == 3
-        assert result.work.column_bits_expanded == 16
+        assert result.work.column_bits_expanded == 15  # A = 5 cells per offset solved
 
     def test_serialization(self, kat_spec, kat_known):
         text = attack(AttackInput(kat_spec, kat_known)).to_text()
@@ -296,7 +296,7 @@ class TestAttack:
                 key = random_key(rng, spec, s0=1)
                 result = attack(AttackInput(spec, submatrix_known(spec, key)))
                 assert result.work.comparisons <= 2 * s - 1
-                assert result.work.column_bits_expanded <= a + (2 * s - 1) * a
+                assert result.work.column_bits_expanded == a * len(result.offsets) <= a * s
 
     @pytest.mark.parametrize("s", [3, 5, 8])
     def test_data_register_of_31_bits(self, s):
@@ -530,25 +530,80 @@ class TestSpecTables:
 
     @pytest.mark.parametrize("a,s", TABLE_SIZES)
     def test_phase_one_matches_elimination(self, a, s):
+        # any A cells of any column, genuine or not, solve to the elimination's state
         spec = make_spec(a, s)
         reader, cols = _Reader(spec), 1 << (s - 1)
         rng = random.Random(151 * a + s)
         for _ in range(8):
-            v = rng.randrange(1, 1 << a)
+            v, j = rng.randrange(1, 1 << a), rng.randrange(s)
             bits = [v >> n & 1 for n in range(a)]
-            known = {n * cols: bit for n, bit in enumerate(bits)}
-            assert _solve_data_state(reader, known) == _solve(zip(spec._rows, bits), a)[0]
+            known = {n * cols + j: bit for n, bit in enumerate(bits)}
+            assert _column_state(reader, known, j) == _solve(zip(spec._rows, bits), a)[0]
 
 
-# sha256 of `digest_outcomes`, computed with the attack that read cells on the column
-# polynomial P_D, so the P_A reader must reproduce its results exactly.
-OUTCOME_DIGEST = "0d66e8c235f57af1ccd3ed59eba36b3d55b6f21142461b123b9f391cc5f98673"
+COLUMN_STATE_SIZES = [(5, 4), (8, 3), (12, 7), (21, 8), (31, 5)]
+
+
+def data_states(spec, key, count):
+    """c_0 .. c_{count-1} and the selector's 1-positions o_0 .. o_{S-1}, by the list oracles."""
+    a, s = spec.a_length, spec.s_length
+    data = oracles.lfsr_run(oracles.mask_to_list(spec.pa.mask), key.sra_state.bits, count + a)
+    sel = oracles.lfsr_run(oracles.mask_to_list(spec.ps.mask), key.srs_state.bits, 1 << s)
+    states = [oracles.list_to_mask(data[o:o + a]) for o in range(count)]
+    return states, oracles.one_positions(sel)[:s]
+
+
+class TestColumnState:
+    @pytest.mark.parametrize("a,s", COLUMN_STATE_SIZES)
+    def test_each_column_solves_to_its_clocked_data_state(self, a, s):
+        spec = make_spec(a, s)
+        reader, cols = _Reader(spec), 1 << (s - 1)
+        rng = random.Random(173 * a + s)
+        for _ in range(6):
+            key = random_key(rng, spec)
+            known = dict(submatrix_known(spec, key).items())
+            states, offsets = data_states(spec, key, 1 << s)
+            for j in range(s):
+                cells = [known[n * cols + j] for n in range(a)]
+                got = _column_state(reader, known, j)
+                assert got == states[offsets[j]] == _solve(zip(spec._rows, cells), a)[0], (key, j)
+
+    @pytest.mark.parametrize("a,s", COLUMN_STATE_SIZES)
+    def test_flipped_cell_fails_its_column(self, a, s):
+        # Phase two solves column j once, so a flipped cell there leaves no candidate
+        # offset matching, unless the flipped column's state happens to be the data
+        # state at another candidate offset: those flips are counted, not asserted.
+        spec = make_spec(a, s)
+        reader, cols = _Reader(spec), 1 << (s - 1)
+        rng = random.Random(179 * a + s)
+        checked = 0
+        for _ in range(6):
+            key = random_key(rng, spec, s0=1)
+            known = dict(submatrix_known(spec, key).items())
+            offsets = attack(AttackInput(spec, KnownBits(known))).offsets
+            states = data_states(spec, key, 1 << s)[0]
+            j = rng.randrange(1, len(offsets))
+            last = offsets[j - 1] + s
+            for n in range(a):
+                flipped = {p: b ^ (p == n * cols + j) for p, b in known.items()}
+                if _column_state(reader, flipped, j) in states[offsets[j - 1] + 1:last + 1]:
+                    continue
+                checked += 1
+                message = f"^srs-recovery: no offset candidate up to {last} matches column {j}$"
+                with pytest.raises(InconsistentDataError, match=message):
+                    attack(AttackInput(spec, KnownBits(flipped)))
+        assert checked >= 5 * a
+
+
+# sha256 of `digest_outcomes`, computed with the attack that matched phase two's candidate
+# offsets row by row, so solving each column's state must reproduce its results exactly.
+OUTCOME_DIGEST = "4b76f9ebdde56a31f10a56c8043ed6f23a93aa6bcd3c31f2247847d99fac2d42"
 DIGEST_SIZES = [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (7, 5), (8, 3), (8, 5), (12, 5), (12, 7),
                 (21, 5), (21, 8)]
 
 
 def digest_outcomes():
-    """One outcome per seeded input, 25 inputs per size: the result text and work counters
+    """One outcome per seeded input, 25 inputs per size: the result text and comparisons
     of a returned key, or the class of the exception raised.
 
     The inputs cycle through six kinds: a genuine corner; a corner plus eight far bits;
@@ -578,11 +633,12 @@ def digest_outcomes():
             except InterceptedDataError as exc:
                 yield type(exc).__name__
             else:
-                yield result.to_text() + f"work={result.work.comparisons},{result.work.column_bits_expanded}"
+                assert result.work.column_bits_expanded == a * len(result.offsets)
+                yield result.to_text() + f"work={result.work.comparisons}"
 
 
 def test_outcome_digest():
-    # pins to_text(), the work counters and the exception classes over 300 inputs
+    # pins to_text(), the comparisons and the exception classes over 300 inputs
     outcomes = list(digest_outcomes())
     assert len(outcomes) == 300
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == OUTCOME_DIGEST

@@ -3,6 +3,7 @@
 import io
 import random
 import shlex
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from math import gcd
@@ -95,6 +96,43 @@ class TestGen:
         )
         assert code == 1
         assert "error:" in err
+
+    def test_negative_n_exits_1(self, capsys):
+        code, out, err = invoke(
+            capsys, "gen", "--pa", KAT_PA, "--ps", KAT_PS,
+            "--sra", KAT_SRA, "--srs", KAT_SRS, "--n", "-1",
+        )
+        assert (code, out, err) == (1, "", "error: n must be >= 0\n")
+
+    @pytest.mark.parametrize("n", [0, 1, 65535, 65536, 65537, 200000])
+    def test_chunked_output_is_the_keystream(self, capsys, n):
+        # gen writes 2^16-bit chunks; their seams must not show in the output
+        spec = make_spec(12, 7)
+        key = ShrinkingKey(LfsrState.parse("100110111010"), LfsrState.parse("1011001"))
+        code, out, err = invoke(
+            capsys, "gen", "--pa", str(spec.pa), "--ps", str(spec.ps),
+            "--sra", str(key.sra_state), "--srs", str(key.srs_state), "--n", str(n),
+        )
+        assert (code, err) == (0, "")
+        assert out == str(shrink(spec, key, n)) + "\n"
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        def peak(n):
+            argv = ["gen", "--pa", KAT_PA, "--ps", KAT_PS, "--sra", KAT_SRA, "--srs", KAT_SRS,
+                    "--n", str(n)]
+            tracemalloc.start()
+            try:
+                with redirect_stdout(Discard()):
+                    assert run(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 << 16) <= 1.1 * peak(1 << 16)
 
 
 class TestAttackVerb:
