@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice, product
 from typing import Iterable, Iterator
 
 from .errors import InconsistentDataError, InsufficientInputError, UnsupportedSizeError
-from .gf2 import BinaryPolynomial, _jump, _mulmod, _solve, mod_inverse
+from .gf2 import BinaryPolynomial, _eliminate, _jump, _mulmod, mod_inverse
 from .generator import SgSpec, ShrinkingKey, column_poly
 from .interleaved import KnownBits, OffsetVector
 from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_generate, lfsr_stream
@@ -271,17 +270,20 @@ def attack(attack_input: AttackInput) -> AttackResult:
 
 
 def brute_force(attack_input: AttackInput) -> list[ShrinkingKey]:
-    """All canonical keys consistent with every known bit, by guessing the selector and solving.
+    """All canonical keys consistent with every known bit, by depth-first search over the selector.
 
-    For each of the 2^(S-1) selector states whose first bit is 1, the selector
-    runs only as far as the offsets o_j of the highest known column, and known
-    bit n * 2^(S-1) + j becomes the GF(2) equation parity((x^t mod P_A) & c) =
-    bit in the data state c, t = n(2^S - 1) + o_j.  A guess whose equations
-    contradict each other gives no key; otherwise every one of its 2^(A - rank)
-    solutions except c = 0 is a key.  Keys come out sorted by their data-state
-    and then selector-state bit strings, so the result is deterministic.
-    Raises UnsupportedSizeError when (S - 1) + (A - rank) exceeds
-    BRUTE_FORCE_MAX_BITS - 1 for some guess.
+    Known bit n * 2^(S-1) + j is the GF(2) equation parity((R_n * x^(o_j)
+    mod P_A) & c) = bit in the data state c.  The search fixes the selector
+    bits s_1 .. s_(S-1) in turn, 0 before 1 (s_0 = 1): a 1 at s_i makes i
+    the offset of the next column, whose known cells join the parent's
+    eliminated system, and a contradiction prunes the branch.  Once the rank
+    reaches A, c is fixed and each further cell costs one AND and a parity
+    on the data state clocked to its offset.  At a leaf, the later offsets
+    follow from the selector state, and every one of the 2^(A - rank)
+    solutions except c = 0 is a key.  Keys come out sorted by their
+    data-state and then selector-state bit strings, so the result is
+    deterministic.  Raises UnsupportedSizeError when (S - 1) + (A - rank)
+    exceeds BRUTE_FORCE_MAX_BITS - 1 for some consistent selector state.
     """
     spec = attack_input.spec
     a, s, m = spec.a_length, spec.s_length, spec.pa.mask
@@ -290,28 +292,86 @@ def brute_force(attack_input: AttackInput) -> list[ShrinkingKey]:
         raise UnsupportedSizeError(
             f"S - 1 = {s - 1} guessed selector bits exceed the exhaustive-search budget ({budget})"
         )
-    known = list(_Reader(spec).cells(attack_input.known.items()))
-    offset_jump = [1]  # x^o mod P_A, grown as far as the guesses' offsets reach
-    width = max((j for _, j, _, _ in known), default=-1) + 1
-    found = []
-    for rest in product((0, 1), repeat=s - 1):
-        srs = (1,) + rest
-        offsets = list(islice(_ones(spec, LfsrState(srs)), width))
-        while len(offset_jump) <= max(offsets, default=0):
-            offset_jump.append(_mulmod(offset_jump[-1], 2, m))
-        space = _solve(((_mulmod(row, offset_jump[offsets[j]], m), bit)
-                        for _, j, bit, row in known), a)
-        if space is None:
-            continue
-        c, basis = space
-        if s - 1 + len(basis) > budget:
+    reader = _Reader(spec)
+    columns: dict[int, list[tuple[int, int]]] = {}  # j -> (R_n, bit) of its known cells
+    for _, j, bit, row in reader.cells(attack_input.known.items()):
+        columns.setdefault(j, []).append((row, bit))
+    width = max(columns, default=-1) + 1
+    shifts = [1]  # x^o mod P_A, grown as far as the offsets reach
+    taps, found = spec.ps.mask ^ (1 << s), []
+
+    def add(node, placed):
+        """node with each column j of `placed` added at its offset o, or None at a contradiction.
+
+        A node is (pivots, c, o_c): the eliminated system and, once its rank
+        is A, the data state c clocked to offset o_c.  Offsets ascend along
+        `placed`.  Only a system of rank below A changes, so only that is copied.
+        """
+        pivots, c, at = node
+        if len(pivots) < a:
+            pivots = dict(pivots)
+        for j, o in placed:
+            cells = columns.get(j, ())
+            if len(pivots) < a:
+                while len(shifts) <= o:
+                    shifts.append(_mulmod(shifts[-1], 2, m))
+                rows = ((_mulmod(row, shifts[o], m), bit) for row, bit in cells)
+                if _eliminate(rows, pivots) is None:
+                    return None
+                if len(pivots) < a:
+                    continue
+                c, at = sum(bit << p for p, (_, bit) in pivots.items()), 0
+            for _ in range(o - at):
+                c = reader.clock(c)
+            at = o
+            if any((row & c).bit_count() & 1 != bit for row, bit in cells):
+                return None
+        return pivots, c, at
+
+    def later_columns(sel, j):
+        """(j, o_j) for the columns from j on, whose offsets o_j >= S follow from the state sel."""
+        w, t = sel, s  # w: selector bits t - S .. t - 1
+        while j < width:
+            bit = (w & taps).bit_count() & 1
+            w = (w >> 1) | (bit << (s - 1))
+            if bit:
+                yield j, t
+                j += 1
+            t += 1
+
+    def leaf(node, sel, j):
+        """Add the columns at offsets >= S, then collect the solutions."""
+        node = add(node, later_columns(sel, j))
+        if node is None:
+            return
+        pivots = node[0]
+        free = [f for f in range(a) if f not in pivots]
+        if s - 1 + len(free) > budget:
             raise UnsupportedSizeError(
-                f"(S - 1) + (A - rank) = {s - 1 + len(basis)} key bits to enumerate exceed "
+                f"(S - 1) + (A - rank) = {s - 1 + len(free)} key bits to enumerate exceed "
                 f"the exhaustive-search budget ({budget})"
             )
+        c = sum(bit << p for p, (_, bit) in pivots.items())
+        basis = [(1 << f) | sum(1 << p for p, (mask, _) in pivots.items() if mask >> f & 1)
+                 for f in free]
+        srs = tuple(sel >> i & 1 for i in range(s))
         for i in range(1 << len(basis)):
             if i:  # Gray code: one xor per solution
                 c ^= basis[(i & -i).bit_length() - 1]
             if c:
                 found.append((tuple(c >> k & 1 for k in range(a)), srs))
+
+    def search(node, i, sel, j):
+        """Selector bits s_0 .. s_(i-1) fixed in sel, columns 0 .. j-1 added to node."""
+        if i == s:
+            leaf(node, sel, j)
+            return
+        search(node, i + 1, sel, j)
+        child = add(node, [(j, i)]) if j < width else node
+        if child is not None:
+            search(child, i + 1, sel | 1 << i, j + 1)
+
+    root = add(({}, 0, 0), [(0, 0)] if width else [])
+    if root is not None:
+        search(root, 1, 1, 1)
     return [ShrinkingKey(LfsrState(sra), LfsrState(srs)) for sra, srs in sorted(found)]

@@ -25,7 +25,7 @@ from .generator import (
 )
 from .gf2 import BinaryPolynomial, coset_min_poly
 from .interleaved import KnownBits, build_ic, shrunken_interleaved_check
-from .lfsr import BitSequence, LfsrState
+from .lfsr import BitSequence, LfsrState, _bit_text
 
 # gen writes the keystream in chunks of this many bits, so its memory does not grow with --n.
 _GEN_CHUNK_BITS = 1 << 16
@@ -133,8 +133,8 @@ def _known_from(args, spec: SgSpec, submatrix_only: bool) -> KnownBits:
 
 def _cmd_gen(args) -> None:
     bits = _keystream(_spec_from(args), _key_from(args), args.n)
-    while chunk := "".join(map(str, islice(bits, _GEN_CHUNK_BITS))):
-        print(chunk, end="")
+    for _ in range(0, args.n, _GEN_CHUNK_BITS):  # no chunk outlives its print
+        print(_bit_text(islice(bits, _GEN_CHUNK_BITS)), end="")
     print()
 
 

@@ -174,16 +174,22 @@ def _jump(table: tuple[tuple[int, ...], ...], k: int, m: int) -> int:
     return result
 
 
-def _eliminate(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]] | None:
+def _eliminate(
+    rows: Iterable[tuple[int, int]], pivots: dict[int, tuple[int, int]] | None = None
+) -> dict[int, tuple[int, int]] | None:
     """Gauss-Jordan elimination of the rows parity(mask & c) = rhs, read lazily.
 
-    The right-hand side is xored along with its mask, so one int may carry
-    several right-hand sides as its bits.  Returns None at the first row that
-    reduces to mask 0 with a nonzero right-hand side.  Otherwise maps each
-    pivot bit to its reduced (mask, rhs) row, whose mask is free of every
-    other pivot bit.
+    Adds the rows to `pivots` in place, a map an earlier call returned, so a
+    caller can extend a system without eliminating its rows again; without
+    it, starts from no rows.  The right-hand side is xored along with its
+    mask, so one int may carry several right-hand sides as its bits.
+    Returns None at the first row that reduces to mask 0 with a nonzero
+    right-hand side, leaving `pivots` part-extended.  Otherwise returns the
+    map from each pivot bit to its reduced (mask, rhs) row, whose mask is
+    free of every other pivot bit.
     """
-    pivots: dict[int, tuple[int, int]] = {}
+    if pivots is None:
+        pivots = {}
     for mask, bit in rows:
         for p, (pmask, pbit) in pivots.items():
             if mask >> p & 1:
@@ -198,23 +204,6 @@ def _eliminate(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]] | 
                 pivots[q] = qmask ^ mask, qbit ^ bit
         pivots[p] = mask, bit
     return pivots
-
-
-def _solve(rows: Iterable[tuple[int, int]], n: int) -> tuple[int, list[int]] | None:
-    """Solve parity(mask & c) = bit for an n-bit mask c by Gauss-Jordan elimination.
-
-    Reads the (mask, bit) rows lazily and returns None at the first one that
-    contradicts the rows before it.  Otherwise returns (c0, basis): the
-    solutions are c0 xor every sum of basis vectors, one per free bit, so the
-    rank is n - len(basis).
-    """
-    pivots = _eliminate(rows)
-    if pivots is None:
-        return None
-    c0 = sum(bit << p for p, (_, bit) in pivots.items())
-    basis = [(1 << f) | sum(1 << p for p, (mask, _) in pivots.items() if mask >> f & 1)
-             for f in range(n) if f not in pivots]
-    return c0, basis
 
 
 def _inverse(masks: list[int]) -> tuple[int, ...]:

@@ -19,6 +19,11 @@ from typing import Iterable, Iterator
 from .gf2 import BinaryPolynomial, poly_is_primitive
 
 
+def _bit_text(bits: Iterable[int]) -> str:
+    """'0'/'1' text of 0/1 ints, index 0 first: one byte per bit, no string per bit."""
+    return bytes(bits).translate(bytes.maketrans(b"\0\1", b"01")).decode()
+
+
 class BitSequence:
     """Immutable bit vector."""
 
@@ -59,7 +64,7 @@ class BitSequence:
         return hash(self._bits)
 
     def __str__(self) -> str:
-        return "".join(map(str, self._bits))
+        return _bit_text(self._bits)
 
     def __repr__(self) -> str:
         return f"<BitSequence len={len(self._bits)}>"
@@ -120,7 +125,7 @@ class LfsrState:
         return len(self.bits)
 
     def __str__(self) -> str:
-        return "".join(map(str, self.bits))
+        return _bit_text(self.bits)
 
 
 def lfsr_stream(spec: LfsrSpec, state: LfsrState) -> Iterator[int]:

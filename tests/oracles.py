@@ -171,3 +171,25 @@ def exhaustive_keys(pa, ps, known):
             if all(data[clock[pos] % len(data)] == bit for pos, bit in known.items()):
                 keys.append((sra, srs))
     return keys
+
+
+def solve_unique(masks, bits, n):
+    """The one n-bit solution c of parity(masks[i] & c) = bits[i], as a bit list, or None.
+
+    Row reduction on coefficient lists (index k = coefficient of c_k): None
+    when the equations contradict each other or leave a free variable.
+    """
+    rows = [(mask_to_list(mask) + [0] * n)[:n] + [bit] for mask, bit in zip(masks, bits)]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = [x ^ y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    if any(row[n] for row in rows[n:]):
+        return None
+    return [rows[k][n] for k in range(n)]

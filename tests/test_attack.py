@@ -1,4 +1,4 @@
-"""Two-phase key recovery, its invariants, and key enumeration by guess-and-solve."""
+"""Two-phase key recovery, its invariants, and key enumeration by a pruned selector search."""
 
 import hashlib
 import importlib
@@ -55,7 +55,7 @@ from shrinkgen import (
 )
 from shrinkgen.attack import _Reader, _check_regeneration, _column_state
 from shrinkgen import gf2
-from shrinkgen.gf2 import _powers, _solve, _xpow
+from shrinkgen.gf2 import _powers, _xpow
 
 
 class TestColumnPoly:
@@ -538,7 +538,8 @@ class TestSpecTables:
             v, j = rng.randrange(1, 1 << a), rng.randrange(s)
             bits = [v >> n & 1 for n in range(a)]
             known = {n * cols + j: bit for n, bit in enumerate(bits)}
-            assert _column_state(reader, known, j) == _solve(zip(spec._rows, bits), a)[0]
+            solution = oracles.solve_unique(spec._rows, bits, a)
+            assert _column_state(reader, known, j) == oracles.list_to_mask(solution)
 
 
 COLUMN_STATE_SIZES = [(5, 4), (8, 3), (12, 7), (21, 8), (31, 5)]
@@ -566,7 +567,8 @@ class TestColumnState:
             for j in range(s):
                 cells = [known[n * cols + j] for n in range(a)]
                 got = _column_state(reader, known, j)
-                assert got == states[offsets[j]] == _solve(zip(spec._rows, cells), a)[0], (key, j)
+                solution = oracles.list_to_mask(oracles.solve_unique(spec._rows, cells, a))
+                assert got == states[offsets[j]] == solution, (key, j)
 
     @pytest.mark.parametrize("a,s", COLUMN_STATE_SIZES)
     def test_flipped_cell_fails_its_column(self, a, s):
@@ -736,9 +738,9 @@ class TestBruteForce:
     def test_matches_exhaustive_search(self, attack_input):
         assert brute_force(attack_input) == oracle_keys(attack_input)
 
-    @pytest.mark.parametrize("a,s", [(21, 5), (21, 8), (31, 3)])
+    @pytest.mark.parametrize("a,s", [(12, 7), (21, 5), (21, 8), (31, 3)])
     def test_whole_corner_at_benchmark_sizes(self, a, s):
-        # a whole corner has rank A under every selector guess, so nothing is left to enumerate
+        # a whole corner has rank A under every selector state, so nothing is left to enumerate
         rng = random.Random(127 * a + s)
         spec = make_spec(a, s)
         known = dict(submatrix_known(spec, random_key(rng, spec)).items())
@@ -749,6 +751,35 @@ class TestBruteForce:
         assert brute_force(AttackInput(spec, KnownBits(known))) == []
         with pytest.raises(InterceptedDataError):
             attack(AttackInput(spec, KnownBits(known)))
+
+    @pytest.mark.parametrize("o,bit,bits", [(1, 1, 24), (3, 1, 25), (3, 0, 24)])
+    def test_budget_error_names_the_first_consistent_state_over_it(self, o, bit, bits):
+        # At (31,3), eight column-0 cells have rank 8.  One more cell in column 1, row
+        # n = -o / 7 mod 2^31 - 1, reads data bit 0 under every selector state whose column 1
+        # sits at offset o: 110 and 111 for o = 1, 100 for o = 3, the first in product order.
+        # There it repeats cell (0, 0), rank 8 and 2 + 23 = 25 bits, or contradicts it when
+        # its bit differs; every other state has rank 9 and 24 bits, so all four states but
+        # the contradicted ones exceed the budget, and the error names the first of them.
+        spec = make_spec(31, 3)
+        period = (1 << 31) - 1
+        known = {4 * n: 1 for n in range(8)}
+        known[4 * (-o * mod_inverse(7, period) % period) + 1] = bit
+        message = (f"(S - 1) + (A - rank) = {bits} key bits to enumerate exceed "
+                   "the exhaustive-search budget (23)")
+        with pytest.raises(UnsupportedSizeError) as raised:
+            brute_force(AttackInput(spec, KnownBits(known)))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("a,s", [(5, 4), (8, 3)])
+    def test_each_flipped_corner_cell_matches_exhaustive_search(self, a, s):
+        # each one-cell corruption of a whole corner, key for key against the exhaustive search
+        rng = random.Random(191 * a + s)
+        spec = make_spec(a, s)
+        for _ in range(2):
+            known = dict(submatrix_known(spec, random_key(rng, spec)).items())
+            for p in sorted(known):
+                flipped = AttackInput(spec, KnownBits({q: b ^ (q == p) for q, b in known.items()}))
+                assert brute_force(flipped) == oracle_keys(flipped), p
 
     def test_budget_counts_free_bits_after_solving(self):
         # nine column-0 cells at (31,3) have rank 9, leaving 2 selector bits plus 22 free data bits

@@ -21,7 +21,7 @@ from shrinkgen import (
     mod_inverse,
     poly_is_primitive,
 )
-from shrinkgen.gf2 import _jump, _jump_table, _mulmod, _xpow
+from shrinkgen.gf2 import _eliminate, _jump, _jump_table, _mulmod, _xpow
 
 masks = st.integers(min_value=0, max_value=(1 << 16) - 1)
 moduli = st.integers(min_value=2, max_value=(1 << 12) - 1)
@@ -143,6 +143,19 @@ class TestJump:
         # the table needs no primitive modulus: a product that comes back to 1 still reads right
         k = data.draw(st.integers(0, (1 << (mm.bit_length() - 1)) - 1))
         assert _jump(_jump_table(mm), k, mm) == _xpow(k, mm)
+
+
+class TestEliminate:
+    @given(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 1)), max_size=10), st.data())
+    def test_extending_a_system_matches_one_pass(self, rows, data):
+        # rows added to an earlier call's pivots give the pivots of all rows at once,
+        # and a system is consistent exactly when some 6-bit c satisfies every row
+        k = data.draw(st.integers(0, len(rows)))
+        first = _eliminate(rows[:k])
+        extended = None if first is None else _eliminate(rows[k:], first)
+        assert extended == _eliminate(rows)
+        solvable = any(all((mask & c).bit_count() % 2 == bit for mask, bit in rows) for c in range(64))
+        assert (extended is not None) == solvable
 
 
 class TestPrimitivity:

@@ -34,6 +34,10 @@ class TestBitSequence:
         with pytest.raises(ValueError):
             BitSequence.parse("10021")
 
+    @given(st.lists(st.integers(0, 1) | st.booleans(), max_size=300))
+    def test_str_lists_each_bit(self, bits):
+        assert str(BitSequence(bits)) == "".join("01"[b] for b in bits)
+
     @given(st.text() | BIT_TEXT)
     def test_parse_returns_bits_or_raises_value_error(self, text):
         try:
@@ -47,6 +51,10 @@ class TestLfsrState:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             LfsrState((0, 0, 0))
+
+    @given(st.lists(st.integers(0, 1) | st.booleans(), min_size=1, max_size=64).filter(any))
+    def test_str_lists_each_bit(self, bits):
+        assert str(LfsrState(tuple(bits))) == "".join("01"[b] for b in bits)
 
     def test_parse(self):
         assert LfsrState.parse("10011").bits == (1, 0, 0, 1, 1)
