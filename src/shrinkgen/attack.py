@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import InconsistentDataError, InsufficientInputError, UnsupportedSizeError
 from .gf2 import BinaryPolynomial, _eliminate, _jump, _mulmod, mod_inverse
 from .generator import SgSpec, ShrinkingKey, column_poly
 from .interleaved import KnownBits, OffsetVector
-from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_generate, lfsr_stream
+from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_generate
 
 # brute_force enumerates at most 2^(BRUTE_FORCE_MAX_BITS - 1) keys: S - 1 guessed
 # selector bits plus A - rank free data bits.
@@ -186,9 +187,15 @@ def _srs_phase(
     return LfsrState(bits), OffsetVector(tuple(offsets)), comparisons
 
 
-def _ones(spec: SgSpec, srs: LfsrState):
-    """Positions o_0, o_1, ... of the 1s in the selector sequence from state srs."""
-    return (t for t, bit in enumerate(lfsr_stream(spec.srs, srs)) if bit)
+def _ones(spec: SgSpec, w: int) -> Iterator[int]:
+    """Positions o_0, o_1, ... of the 1s in the selector sequence from state w (bit i = s_i)."""
+    s = spec.s_length
+    taps, top, t = spec.ps.mask ^ (1 << s), s - 1, 0
+    while True:
+        if w & 1:
+            yield t
+        w = (w >> 1) | (((w & taps).bit_count() & 1) << top)
+        t += 1
 
 
 def _state_mask(state: LfsrState) -> int:
@@ -219,7 +226,7 @@ def _check_regeneration(reader: _Reader, key: ShrinkingKey, known: Iterable[tupl
     offset o_j of the highest column met.
     """
     c, o, states = _state_mask(key.sra_state), 0, []  # states[j] = c_{o_j}
-    ones = _ones(reader.spec, key.srs_state)
+    ones = _ones(reader.spec, _state_mask(key.srs_state))
     for pos, j, bit, row in reader.cells(known):
         while len(states) <= j:
             o_j = next(ones)
@@ -298,7 +305,7 @@ def brute_force(attack_input: AttackInput) -> list[ShrinkingKey]:
         columns.setdefault(j, []).append((row, bit))
     width = max(columns, default=-1) + 1
     shifts = [1]  # x^o mod P_A, grown as far as the offsets reach
-    taps, found = spec.ps.mask ^ (1 << s), []
+    found = []
 
     def add(node, placed):
         """node with each column j of `placed` added at its offset o, or None at a contradiction.
@@ -328,22 +335,12 @@ def brute_force(attack_input: AttackInput) -> list[ShrinkingKey]:
                 return None
         return pivots, c, at
 
-    def later_columns(sel, j):
-        """(j, o_j) for the columns from j on, whose offsets o_j >= S follow from the state sel."""
-        w, t = sel, s  # w: selector bits t - S .. t - 1
-        while j < width:
-            bit = (w & taps).bit_count() & 1
-            w = (w >> 1) | (bit << (s - 1))
-            if bit:
-                yield j, t
-                j += 1
-            t += 1
-
     def leaf(node, sel, j):
         """Add the columns at offsets >= S, then collect the solutions."""
-        node = add(node, later_columns(sel, j))
-        if node is None:
-            return
+        if j < width:  # sel holds the j offsets below S; the later ones follow from it
+            node = add(node, islice(enumerate(_ones(spec, sel)), j, width))
+            if node is None:
+                return
         pivots = node[0]
         free = [f for f in range(a) if f not in pivots]
         if s - 1 + len(free) > budget:

@@ -6,6 +6,10 @@ a[k+L] = sum_i c_i * a[k+i]; its output sequence is the initial state
 extended by that recurrence, so the first L output bits are the state bits
 themselves.
 
+Streams run a block of _BLOCK_BITS clocks at a time: output bit u of the
+state c is parity((x^u mod P) & c), and the state _BLOCK_BITS clocks on is
+linear in c as well, so one table per byte of c gives both at once.
+
 Bit sequences serialize as ASCII '0'/'1' strings, index 0 first; whitespace
 and line breaks are ignored on parse.
 """
@@ -13,10 +17,19 @@ and line breaks are ignored on parse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from functools import lru_cache
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
-from .gf2 import BinaryPolynomial, poly_is_primitive
+from .gf2 import BinaryPolynomial, _mulmod, _powers, poly_is_primitive
+
+# Clocks per stream step, a multiple of 8.  Each step costs ceil(L/8) table
+# lookups plus the bytes of its output, and each table entry holds
+# L + _BLOCK_BITS bits.
+_BLOCK_BITS = 256
+
+# Byte d as 8 one-byte bits, bit 0 first.
+_EXPAND = tuple(bytes(d >> i & 1 for i in range(8)) for d in range(256))
 
 
 def _bit_text(bits: Iterable[int]) -> str:
@@ -30,8 +43,8 @@ class BitSequence:
     __slots__ = ("_bits",)
 
     def __init__(self, bits: Iterable[int]):
-        bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in bits):
+        bits = tuple(map(int, bits))
+        if bits.count(0) + bits.count(1) != len(bits):
             raise ValueError("sequence bits must be 0 or 1")
         self._bits = bits
 
@@ -135,14 +148,43 @@ def lfsr_stream(spec: LfsrSpec, state: LfsrState) -> Iterator[int]:
     reg = 0
     for i, b in enumerate(state.bits):
         reg |= b << i
-    return _stream(reg, spec.taps, spec.length - 1)
+    return chain.from_iterable(_blocks(reg, spec.taps, spec.length))
 
 
-def _stream(reg: int, taps: int, top: int) -> Iterator[int]:
+@lru_cache(maxsize=None)
+def _block_tables(taps: int, length: int) -> tuple[tuple[int, ...], ...]:
+    """One table per byte k of the state c, entry d for c = d << 8k: next | out << L.
+
+    next is c clocked _BLOCK_BITS times and out holds the _BLOCK_BITS output
+    bits, index 0 lowest.  Both are linear in c: output bit u is
+    parity((x^u mod P) & c) and bit i of next is parity((x^(_BLOCK_BITS + i)
+    mod P) & c), so a state's entry is the XOR of its bytes' entries.  Built
+    on a register's first stream, never with its spec.
+    """
+    m = taps | 1 << length
+    powers = _powers(_mulmod(1, 2, m), _BLOCK_BITS + length, m)  # x^u mod P
+    rows = powers[_BLOCK_BITS:] + powers[:_BLOCK_BITS]  # row p gives bit p of an entry
+    # Column b of the rows, as an int: the entry of state bit b alone.
+    columns = [int("".join(col)[::-1], 2) for col in zip(*(f"{r:0{length}b}" for r in rows))][::-1]
+    tables = []
+    for k in range(0, length, 8):
+        table = [0]
+        for column in columns[k:k + 8]:
+            table += [entry ^ column for entry in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _blocks(reg: int, taps: int, length: int) -> Iterator[bytes]:
+    """The output from state reg, _BLOCK_BITS bits per block as 0/1 bytes."""
+    tables = _block_tables(taps, length)
+    mask = (1 << length) - 1
     while True:
-        yield reg & 1
-        fb = (reg & taps).bit_count() & 1
-        reg = (reg >> 1) | (fb << top)
+        entry = 0
+        for table, d in zip(tables, reg.to_bytes(len(tables), "little")):
+            entry ^= table[d]
+        reg = entry & mask
+        yield b"".join(map(_EXPAND.__getitem__, (entry >> length).to_bytes(_BLOCK_BITS // 8, "little")))
 
 
 def lfsr_generate(spec: LfsrSpec, state: LfsrState, n: int) -> BitSequence:

@@ -56,6 +56,7 @@ from shrinkgen import (
 from shrinkgen.attack import _Reader, _check_regeneration, _column_state
 from shrinkgen import gf2
 from shrinkgen.gf2 import _powers, _xpow
+from shrinkgen.lfsr import _block_tables
 
 
 class TestColumnPoly:
@@ -208,6 +209,21 @@ class TestAttack:
         assert result.sra_state.bits == z.bits
         assert str(result.srs_state) == "1"
         assert result.work.comparisons == 0
+
+    def test_builds_no_block_tables(self):
+        # the selector walk is inline, so neither search streams a register
+        rng = random.Random(113)
+        inputs = []
+        for a, s in [(12, 7), (8, 3)]:
+            spec = make_spec(a, s)
+            key = random_key(rng, spec, s0=1)
+            inputs.append((AttackInput(spec, KnownBits.from_prefix(shrink(spec, key, 1000))), key))
+        _block_tables.cache_clear()
+        for attack_input, key in inputs:
+            result = attack(attack_input)
+            assert ShrinkingKey(result.sra_state, result.srs_state) == key
+        assert key in brute_force(inputs[-1][0])
+        assert _block_tables.cache_info().currsize == 0
 
     def test_insufficient_input_refused(self, kat_spec, kat_known):
         partial = KnownBits({p: b for p, b in kat_known.items() if p != 19})

@@ -1,5 +1,6 @@
 """Command-line behavior: verbs, exit codes, round trips, determinism."""
 
+import hashlib
 import io
 import random
 import shlex
@@ -116,6 +117,18 @@ class TestGen:
         assert (code, err) == (0, "")
         assert out == "".join("01"[b] for b in shrink(spec, key, n)) + "\n"
 
+    def test_output_digest_is_pinned(self, capsys):
+        # sha256 of the stdout of a bit-by-bit register walk (commit 3011586), to catch any
+        # change in the keystream bytes; the key is test_chunked_output_is_the_keystream's
+        spec = make_spec(12, 7)
+        code, out, err = invoke(
+            capsys, "gen", "--pa", str(spec.pa), "--ps", str(spec.ps),
+            "--sra", "100110111010", "--srs", "1011001", "--n", "200003",
+        )
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "be82ccc7ae5859a3fac26779925c60ccae7b77453e693f70145b58ab2992dc2d"
+
     def test_peak_memory_does_not_grow_with_n(self):
         class Discard:
             def write(self, text):
@@ -132,6 +145,7 @@ class TestGen:
             finally:
                 tracemalloc.stop()
 
+        peak(1)  # builds the registers' block tables once, outside both measurements
         assert peak(4 << 16) <= 1.1 * peak(1 << 16)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import random
 import re
+from itertools import compress
 from math import gcd
 
 import pytest
@@ -27,6 +28,7 @@ from shrinkgen import (
     shrunken_period,
     verify_shrunken_charpoly,
 )
+from shrinkgen.lfsr import _BLOCK_BITS
 
 
 class TestSgSpec:
@@ -125,6 +127,20 @@ class TestShrink:
             LfsrState(tuple(s_seq[(first_one + i) % 15] for i in range(4))),
         )
         assert shrink(kat_spec, key0, 248) == shrink(kat_spec, canonical, 248)
+
+    @pytest.mark.parametrize("a,s", [(12, 7), (21, 8), (12, 1)])
+    def test_matches_direct_recurrences_across_block_seams(self, a, s):
+        # each register's stream runs _BLOCK_BITS clocks per step; S = 1 keeps every data bit
+        rng = random.Random(131 * a + s)
+        spec = make_spec(a, s)
+        pa, ps = (oracles.mask_to_list(p.mask) for p in (spec.pa, spec.ps))
+        clocks = 4 * _BLOCK_BITS + 3
+        for _ in range(3):
+            key = random_key(rng, spec)
+            data = oracles.lfsr_run(pa, list(key.sra_state.bits), clocks)
+            selector = oracles.lfsr_run(ps, list(key.srs_state.bits), clocks)
+            expected = list(compress(data, selector))
+            assert list(shrink(spec, key, len(expected))) == expected
 
 
 class TestShrunkenPeriod:

@@ -1,6 +1,7 @@
 """LFSR generation and PN-sequence properties against direct-recurrence oracles."""
 
 import random
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import primitive
+from conftest import PRIMITIVE_POLYS, primitive
 from shrinkgen import (
     BinaryPolynomial,
     BitSequence,
@@ -17,8 +18,10 @@ from shrinkgen import (
     berlekamp_massey,
     coset_min_poly,
     lfsr_generate,
+    lfsr_stream,
     mod_inverse,
 )
+from shrinkgen.lfsr import _BLOCK_BITS
 
 # Text close to a bit string: 0s and 1s mixed with whitespace and near misses.
 BIT_TEXT = st.text(alphabet="01 \n\t2a\u0661")
@@ -37,6 +40,24 @@ class TestBitSequence:
     @given(st.lists(st.integers(0, 1) | st.booleans(), max_size=300))
     def test_str_lists_each_bit(self, bits):
         assert str(BitSequence(bits)) == "".join("01"[b] for b in bits)
+
+    @pytest.mark.parametrize("item", [True, False, "1", "0", 1.0, 2, -1, "2", "a", None])
+    def test_constructor_accepts_and_rejects_as_the_per_item_check(self, item):
+        def per_item(bits):  # the constructor's check, one Python step per item
+            bits = tuple(int(b) for b in bits)
+            if any(b not in (0, 1) for b in bits):
+                raise ValueError("sequence bits must be 0 or 1")
+            return bits
+
+        items = [1, 0, item, 1]
+        try:
+            expected = per_item(items)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                BitSequence(items)
+            assert str(got.value) == str(exc)
+        else:
+            assert BitSequence(items).bits == expected
 
     @given(st.text() | BIT_TEXT)
     def test_parse_returns_bits_or_raises_value_error(self, text):
@@ -116,6 +137,27 @@ class TestLfsrGenerate:
                     bits[-1] = 1
                 got = lfsr_generate(spec, LfsrState(tuple(bits)), 4 * degree)
                 assert list(got) == oracles.lfsr_run(charpoly, bits, 4 * degree)
+
+
+class TestBlockStream:
+    """lfsr_stream runs _BLOCK_BITS clocks per step; no block seam may show."""
+
+    LENGTHS = [0, 1, _BLOCK_BITS - 1, _BLOCK_BITS, _BLOCK_BITS + 1, 3 * _BLOCK_BITS + 5]
+
+    @pytest.mark.parametrize("degree", sorted(PRIMITIVE_POLYS))
+    def test_matches_direct_recurrence_across_blocks(self, degree):
+        rng = random.Random(59 * degree)
+        poly = primitive(degree)
+        spec, charpoly = LfsrSpec(poly), oracles.mask_to_list(poly.mask)
+        lengths = self.LENGTHS + ([spec.period, spec.period + 1] if degree <= 12 else [])
+        for _ in range(4):
+            bits = [rng.randint(0, 1) for _ in range(degree)]
+            if not any(bits):
+                bits[rng.randrange(degree)] = 1
+            expected = oracles.lfsr_run(charpoly, bits, max(lengths))
+            for n in lengths:
+                assert list(islice(lfsr_stream(spec, LfsrState(tuple(bits))), n)) == expected[:n]
+                assert list(lfsr_generate(spec, LfsrState(tuple(bits)), n)) == expected[:n]
 
 
 class TestPnProperties:
