@@ -47,9 +47,6 @@ from .interleaved import (
     KnownBits,
     OffsetVector,
     build_ic,
-    ic_source_index,
-    is_interleaved,
-    shrunken_interleaved_check,
 )
 from .lfsr import (
     BitSequence,
@@ -86,8 +83,6 @@ __all__ = [
     "column_poly",
     "coset_min_poly",
     "extend_column",
-    "ic_source_index",
-    "is_interleaved",
     "lc_bounds",
     "lfsr_generate",
     "lfsr_stream",
@@ -96,7 +91,6 @@ __all__ = [
     "recover_srs",
     "row_positions",
     "shrink",
-    "shrunken_interleaved_check",
     "shrunken_period",
     "verify_shrunken_charpoly",
 ]

@@ -166,17 +166,14 @@ def _column_state(reader: _Reader, known: dict[int, int], j: int) -> int:
     return sum(((inv & v).bit_count() & 1) << p for p, inv in enumerate(reader.spec._col0_inverse))
 
 
-def _srs_phase(
-    reader: _Reader, known: dict[int, int], c: int
-) -> tuple[LfsrState, OffsetVector, int]:
-    """Selector state, offsets and candidate offsets tried, from the data state c = c_0."""
-    s, offsets, comparisons = reader.spec.s_length, [0], 0
+def _srs_phase(reader: _Reader, known: dict[int, int], c: int) -> tuple[LfsrState, OffsetVector]:
+    """Selector state and offsets from the data state c = c_0."""
+    s, offsets = reader.spec.s_length, [0]
     while offsets[-1] < s - 1:
         # A selector sequence never runs S zeros: column j starts at most S past column j-1.
         j, last = len(offsets), offsets[-1] + s
         target = _column_state(reader, known, j)
         for o in range(offsets[-1] + 1, last + 1):
-            comparisons += 1
             c = reader.clock(c)  # c_o
             if c == target:
                 offsets.append(o)
@@ -184,7 +181,7 @@ def _srs_phase(
         else:
             raise InconsistentDataError(f"no offset candidate up to {last} matches column {j}")
     bits = tuple(int(o in offsets) for o in range(s))
-    return LfsrState(bits), OffsetVector(tuple(offsets)), comparisons
+    return LfsrState(bits), OffsetVector(tuple(offsets))
 
 
 def _ones(spec: SgSpec, w: int) -> Iterator[int]:
@@ -215,7 +212,7 @@ def recover_srs(
         raise ValueError(f"data-register state needs {a} bits")
     if tuple(d0[n] for n in row_positions(a, s)) != sra.bits:
         raise ValueError("d0 and the recovered data-register state disagree")
-    return _srs_phase(_Reader(spec), _corner(attack_input), _state_mask(sra))[:2]
+    return _srs_phase(_Reader(spec), _corner(attack_input), _state_mask(sra))
 
 
 def _check_regeneration(reader: _Reader, key: ShrinkingKey, known: Iterable[tuple[int, int]]) -> None:
@@ -267,12 +264,13 @@ def attack(attack_input: AttackInput) -> AttackResult:
             raise InconsistentDataError("a genuine column never contains an all-zero window")
         sra = LfsrState(tuple(c >> i & 1 for i in range(a)))
     with _phase("srs-recovery"):
-        srs, offsets, comparisons = _srs_phase(reader, known, c)
+        srs, offsets = _srs_phase(reader, known, c)
     with _phase("regeneration-check"):
         _check_regeneration(reader, ShrinkingKey(sra, srs), known.items())
     with _phase("column-poly"):
         pd = column_poly(spec)
-    work = WorkCounters(comparisons=comparisons, column_bits_expanded=a * len(offsets))
+    # _srs_phase tries each candidate offset 1 .. o_last once and reads A cells per column
+    work = WorkCounters(comparisons=offsets[-1], column_bits_expanded=a * len(offsets))
     return AttackResult(sra, srs, offsets, pd, work)
 
 

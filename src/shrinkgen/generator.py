@@ -13,7 +13,8 @@ from math import gcd
 from typing import Iterator
 
 from .errors import InconsistentDataError
-from .gf2 import BinaryPolynomial, _inverse, _jump_table, _mulmod, _powers, _xpow, berlekamp_massey
+from .gf2 import (BinaryPolynomial, _inverse, _jump_table, _mulmod, _powers, _xpow,
+                  berlekamp_massey, coset_min_poly)
 from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_stream
 
 
@@ -53,11 +54,8 @@ class SgSpec:
         _check_lengths(a, s)
         sra, srs = LfsrSpec(self.pa), LfsrSpec(self.ps)
         m = self.pa.mask
-        rows = _powers(_xpow((1 << s) - 1, m), 2 * a, m)  # R_0 .. R_{2A-1}
-        # Bit 0 of R_n is cell (n, 0) under data state 1: 2A terms of a
-        # nonzero sequence of linear complexity A, enough for Berlekamp-Massey.
-        pd = berlekamp_massey(row & 1 for row in rows)[1]
-        rows = tuple(rows[:a])
+        rows = tuple(_powers(_xpow((1 << s) - 1, m), a, m))  # R_0 .. R_{A-1}
+        pd = coset_min_poly((1 << s) - 1, self.pa)
         for name, value in (("_sra", sra), ("_srs", srs), ("_rows", rows), ("_pd", pd),
                             ("_col0_inverse", _inverse(rows)), ("_jumps", _jump_table(m))):
             object.__setattr__(self, name, value)

@@ -52,9 +52,6 @@ class BinaryPolynomial:
         """Index of the highest nonzero coefficient; None for the zero polynomial."""
         return self.mask.bit_length() - 1 if self.mask else None
 
-    def coeff(self, k: int) -> int:
-        return (self.mask >> k) & 1
-
     def __bool__(self) -> bool:
         return self.mask != 0
 

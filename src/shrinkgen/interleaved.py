@@ -1,4 +1,4 @@
-"""Interleaved-configuration matrix and interleaved-sequence checks.
+"""Interleaved-configuration layout: known bits, the IC view and column offsets.
 
 One keystream period arranges row-major into the (2^A - 1) x 2^(S-1)
 interleaved configuration (IC): cell (n, j) holds keystream bit
@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InsufficientInputError
-from .gf2 import BinaryPolynomial
-from .generator import SgSpec, ShrinkingKey, _check_lengths, column_poly, shrink
+from .generator import _check_lengths
 
 
 class KnownBits:
@@ -117,10 +115,6 @@ class InterleavedConfig:
             row = [self._known.get(pos) for pos in range(start, start + self.cols)]
             yield "".join("." if b is None else str(b) for b in row)
 
-    def dump(self) -> str:
-        """One matrix row per line; '.' marks unknown cells."""
-        return "\n".join(self.lines())
-
     def __repr__(self) -> str:
         return f"<InterleavedConfig {self.rows}x{self.cols}, {len(self._known)} known>"
 
@@ -157,47 +151,3 @@ class OffsetVector:
     def __str__(self) -> str:
         return ",".join(str(o) for o in self.offsets)
 
-
-def ic_source_index(n: int, j: int, offsets: OffsetVector, a: int, s: int) -> int:
-    """Index into the data sequence feeding IC cell (n, j): (n*(2^S - 1) + o_j) mod (2^A - 1)."""
-    _check_lengths(a, s)
-    rows, cols = (1 << a) - 1, 1 << (s - 1)
-    if not 0 <= n < rows:
-        raise ValueError(f"row {n} outside [0, {rows})")
-    if not 0 <= j < cols:
-        raise ValueError(f"column {j} outside [0, {cols})")
-    if j >= len(offsets):
-        raise InsufficientInputError(f"offset o_{j} has not been recovered")
-    return (n * ((1 << s) - 1) + offsets[j]) % rows
-
-
-def is_interleaved(seq: Iterable[int], m: int, f: BinaryPolynomial) -> bool:
-    """True iff every stride-m subsequence of seq satisfies f's linear recurrence.
-
-    Short inputs that never expose a full recurrence window pass vacuously.
-    """
-    if m < 1:
-        raise ValueError("size m must be >= 1")
-    r = f.degree
-    if r is None or r < 1:
-        raise ValueError("recurrence polynomial must have degree >= 1")
-    bits = [int(b) for b in seq]
-    taps = f.mask ^ (1 << r)
-    for j in range(m):
-        sub = bits[j::m]
-        window = sum(b << k for k, b in enumerate(sub[:r]))  # bit k = sub[i + k], i the start
-        for b in sub[r:]:
-            if (window & taps).bit_count() & 1 != b:
-                return False
-            window = (window >> 1) | (b << (r - 1))
-    return True
-
-
-def shrunken_interleaved_check(spec: SgSpec, key: ShrinkingKey) -> bool:
-    """Spot-check that the first A * 2^S keystream bits are interleaved of size 2^(S-1) under P_D.
-
-    Each column holds 2A terms.  Once the connection polynomial is P_D^p with p <= 2^(S-1),
-    it divides P_D^(2^(S-1))(x) = P_D(x^(2^(S-1))), so the whole keystream is interleaved.
-    """
-    a, s = spec.a_length, spec.s_length
-    return is_interleaved(shrink(spec, key, a << s), 1 << (s - 1), column_poly(spec))

@@ -193,3 +193,35 @@ def solve_unique(masks, bits, n):
     if any(row[n] for row in rows[n:]):
         return None
     return [rows[k][n] for k in range(n)]
+
+
+def ic_source_index(n, j, offsets, a, s):
+    """Index into the data sequence feeding IC cell (n, j): (n * (2^S - 1) + o_j) mod (2^A - 1).
+
+    `offsets` lists o_0, o_1, ...; a column past the end of it raises IndexError.
+    """
+    rows, cols = 2**a - 1, 2 ** (s - 1)
+    if not (0 <= n < rows and 0 <= j < cols):
+        raise ValueError(f"cell ({n}, {j}) outside a {rows}x{cols} matrix")
+    return (n * (2**s - 1) + offsets[j]) % rows
+
+
+def is_interleaved(seq, m, f):
+    """True iff every stride-m subsequence of seq satisfies the recurrence of coefficient list f.
+
+    Window i of a subsequence sub passes when sum(f[k] * sub[i + k]) is even.
+    Short inputs that never expose a full window pass vacuously.
+    """
+    if m < 1:
+        raise ValueError("size m must be >= 1")
+    f = _trim(list(f))
+    if len(f) < 2:
+        raise ValueError("recurrence polynomial must have degree >= 1")
+    terms = one_positions(f)
+    bits = list(seq)
+    for j in range(m):
+        sub = bits[j::m]
+        for i in range(len(sub) - len(f) + 1):
+            if sum(sub[i + k] for k in terms) % 2:
+                return False
+    return True

@@ -41,7 +41,6 @@ from shrinkgen import (
     brute_force,
     build_ic,
     column_poly,
-    is_interleaved,
     lc_bounds,
     shrink,
     shrunken_period,
@@ -202,9 +201,10 @@ def test_criterion_7_work_bound(soundness_sweep):
 def test_criterion_8_interleaved(soundness_sweep):
     with criterion(8, "known-answer interleaved sequence and every sweep keystream pass the check"):
         seq = BitSequence.parse(INTERLEAVED_SEQ)
-        assert is_interleaved(seq, INTERLEAVED_SIZE, BinaryPolynomial.parse(INTERLEAVED_POLY))
+        f = oracles.mask_to_list(BinaryPolynomial.parse(INTERLEAVED_POLY).mask)
+        assert oracles.is_interleaved(seq, INTERLEAVED_SIZE, f)
         trials, _ = soundness_sweep
         for t in trials:
             a, s = t.spec.a_length, t.spec.s_length
             z = shrink(t.spec, t.key, shrunken_period(a, s))
-            assert is_interleaved(z, 1 << (s - 1), column_poly(t.spec))
+            assert oracles.is_interleaved(z, 1 << (s - 1), oracles.mask_to_list(column_poly(t.spec).mask))

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import ic_source_index
 from conftest import (
     KAT_D0_HEAD,
     KAT_D0_TAIL,
@@ -45,7 +46,6 @@ from shrinkgen import (
     column_poly,
     coset_min_poly,
     extend_column,
-    ic_source_index,
     lfsr_generate,
     mod_inverse,
     recover_srs,

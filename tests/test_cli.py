@@ -35,6 +35,7 @@ from shrinkgen import (
     shrink,
     shrunken_period,
 )
+from shrinkgen import generator
 from shrinkgen.cli import run
 
 
@@ -330,6 +331,21 @@ class TestAnalyzeVerb:
             "interleaved=true\n"
         )
 
+    @pytest.mark.parametrize("a, s, sra, srs", [
+        (5, 4, KAT_SRA, KAT_SRS), (2, 1, "10", "1"), (21, 8, "101001110111101001000", "01001111"),
+    ], ids=["5-4", "2-1", "21-8"])
+    def test_shrinks_once(self, capsys, monkeypatch, a, s, sra, srs):
+        # interleaved=true follows from the verified P_D^p, so no second pass over the prefix
+        calls = []
+        for name in ("shrink", "_keystream"):  # _keystream also counts a shrink imported elsewhere
+            real = getattr(generator, name)
+            monkeypatch.setattr(generator, name,
+                                lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        code, out, err = invoke(capsys, "analyze", "--pa", PRIMITIVE_POLYS[a], "--ps", PRIMITIVE_POLYS[s],
+                                "--sra", sra, "--srs", srs)
+        assert (code, err) == (0, "") and out.endswith("interleaved=true\n")
+        assert calls == ["shrink", "_keystream"]
+
     def test_degenerate_selector_is_flagged(self, capsys):
         code, out, _ = invoke(
             capsys, "analyze", "--pa", PRIMITIVE_POLYS[4], "--ps", PRIMITIVE_POLYS[1],
@@ -421,7 +437,7 @@ class TestIcVerb:
         code, out, err = invoke(capsys, "ic", "--pa", KAT_PA, "--ps", KAT_PS, "--known", known_file)
         known = KnownBits.parse(Path(known_file).read_text())
         assert (code, err) == (0, "")
-        assert out == whole_matrix_dump(known, 5, 4) == build_ic(known, 5, 4).dump() + "\n"
+        assert out == whole_matrix_dump(known, 5, 4) == "\n".join(build_ic(known, 5, 4).lines()) + "\n"
 
     def test_streamed_rows_match_the_whole_matrix_at_8_3(self, capsys, tmp_path):
         spec = make_spec(8, 3)
@@ -432,7 +448,7 @@ class TestIcVerb:
                                 "--keystream", str(path))
         known = KnownBits.from_prefix(z)
         assert (code, err) == (0, "")
-        assert out == whole_matrix_dump(known, 8, 3) == build_ic(known, 8, 3).dump() + "\n"
+        assert out == whole_matrix_dump(known, 8, 3) == "\n".join(build_ic(known, 8, 3).lines()) + "\n"
         assert len(out.splitlines()) == 255
 
 
@@ -517,7 +533,7 @@ class TestReadmeExamples:
         monkeypatch.chdir(tmp_path)
         examples = readme_examples()
         assert [argv[0] for argv, _, shown in examples if shown is not None] == [
-            "gen", "coset", "attack", "brute",
+            "gen", "coset", "attack", "brute", "analyze",
         ]
         for argv, target, shown in examples:
             code, out, err = invoke(capsys, *argv)

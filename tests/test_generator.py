@@ -20,11 +20,9 @@ from shrinkgen import (
     ShrinkingKey,
     berlekamp_massey,
     column_poly,
-    is_interleaved,
     lc_bounds,
     lfsr_generate,
     shrink,
-    shrunken_interleaved_check,
     shrunken_period,
     verify_shrunken_charpoly,
 )
@@ -84,6 +82,7 @@ class TestSgSpec:
         monkeypatch.setattr("shrinkgen.generator._powers", unreachable)
         monkeypatch.setattr("shrinkgen.generator._inverse", unreachable)
         monkeypatch.setattr("shrinkgen.generator._jump_table", unreachable)
+        monkeypatch.setattr("shrinkgen.generator.coset_min_poly", unreachable)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SgSpec(BinaryPolynomial.parse(pa), BinaryPolynomial.parse(ps))
 
@@ -228,7 +227,10 @@ class TestVerifyShrunkenCharpoly:
 
 
 def assert_prefix_matches_full_period(spec, key):
-    """The prefix checks give what the old whole-period computation gives."""
+    """The prefix check gives what the whole period gives, and the period is interleaved under P_D.
+
+    analyze prints interleaved=true once verify_shrunken_charpoly returns.
+    """
     a, s = spec.a_length, spec.s_length
     z = shrink(spec, key, shrunken_period(a, s))
     lc, conn = berlekamp_massey(z)
@@ -239,7 +241,7 @@ def assert_prefix_matches_full_period(spec, key):
         power = oracles.poly_mul(power, oracles.mask_to_list(pd.mask))
     assert rem == 0 and oracles.list_to_mask(power) == conn.mask
     assert verify_shrunken_charpoly(spec, key) == (pd, p)
-    assert shrunken_interleaved_check(spec, key) == is_interleaved(z, 1 << (s - 1), pd)
+    assert oracles.is_interleaved(z, 1 << (s - 1), oracles.mask_to_list(pd.mask))
 
 
 class TestPrefixMatchesFullPeriod:

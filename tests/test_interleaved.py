@@ -1,4 +1,4 @@
-"""Interleaved-configuration structure and interleaved-sequence checks."""
+"""Interleaved-configuration structure, and the interleaving that analyze reports."""
 
 import random
 
@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import ic_source_index
 from conftest import (
     INTERLEAVED_POLY,
     INTERLEAVED_SEQ,
@@ -18,20 +19,24 @@ from conftest import (
 from shrinkgen import (
     BinaryPolynomial,
     BitSequence,
-    InsufficientInputError,
+    InconsistentDataError,
     KnownBits,
     LfsrState,
     OffsetVector,
     berlekamp_massey,
     build_ic,
     column_poly,
-    ic_source_index,
-    is_interleaved,
     lfsr_generate,
     shrink,
-    shrunken_interleaved_check,
     shrunken_period,
+    verify_shrunken_charpoly,
 )
+from shrinkgen.cli import run
+
+
+def is_interleaved(seq, m, f: BinaryPolynomial) -> bool:
+    """The oracle's check with f given as a package polynomial."""
+    return oracles.is_interleaved(seq, m, oracles.mask_to_list(f.mask))
 
 
 class TestKnownBits:
@@ -113,7 +118,7 @@ class TestBuildIc:
                 ic.cell(row, col)
 
     def test_dump_format(self, kat_known):
-        lines = build_ic(kat_known, 5, 4).dump().splitlines()
+        lines = list(build_ic(kat_known, 5, 4).lines())
         assert len(lines) == 31
         assert lines[0] == "1011...."
         assert lines[4] == "0001...."
@@ -150,7 +155,7 @@ class TestIcSourceIndex:
         assert ic_source_index(29, 0, offsets, 5, 4) == 1
 
     def test_unknown_offset(self):
-        with pytest.raises(InsufficientInputError):
+        with pytest.raises(IndexError):
             ic_source_index(0, 2, OffsetVector((0, 1)), 5, 4)
 
     def test_range_checks(self):
@@ -234,17 +239,24 @@ class TestIsInterleaved:
 
 
 class TestShrunkenInterleavedCheck:
+    """analyze prints interleaved=true once verify_shrunken_charpoly returns; the oracle agrees."""
+
+    def assert_verified_prefix_is_interleaved(self, spec, key):
+        a, s = spec.a_length, spec.s_length
+        pd, _ = verify_shrunken_charpoly(spec, key)
+        assert is_interleaved(shrink(spec, key, a << s), 1 << (s - 1), pd)
+
     def test_known_generator(self, kat_spec, kat_key):
-        assert shrunken_interleaved_check(kat_spec, kat_key)
+        self.assert_verified_prefix_is_interleaved(kat_spec, kat_key)
 
     def test_random_keys(self):
         rng = random.Random(41)
         for a, s in [(5, 2), (5, 4), (7, 3)]:
             spec = make_spec(a, s)
             for _ in range(50):
-                assert shrunken_interleaved_check(spec, random_key(rng, spec))
+                self.assert_verified_prefix_is_interleaved(spec, random_key(rng, spec))
 
-    def test_reads_a_whole_recurrence_window_per_column(self, kat_spec, kat_key, monkeypatch):
+    def test_reads_a_whole_recurrence_window_per_column(self, kat_spec, kat_key, monkeypatch, capsys):
         # the prefix is A * 2^S = 40 bits: 2A = 10 terms in each of the 8 columns,
         # so the last bit is the A-th recurrence step of column 7 and must be read
         def last_bit_flipped(spec, key, n):
@@ -252,8 +264,14 @@ class TestShrunkenInterleavedCheck:
             bits[-1] ^= 1
             return BitSequence(bits)
 
-        monkeypatch.setattr("shrinkgen.interleaved.shrink", last_bit_flipped)
-        assert not shrunken_interleaved_check(kat_spec, kat_key)
+        monkeypatch.setattr("shrinkgen.generator.shrink", last_bit_flipped)
+        with pytest.raises(InconsistentDataError):
+            verify_shrunken_charpoly(kat_spec, kat_key)
+        argv = ["analyze", "--pa", str(kat_spec.pa), "--ps", str(kat_spec.ps),
+                "--sra", str(kat_key.sra_state), "--srs", str(kat_key.srs_state)]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_wrong_polynomial_fails_for_s_above_one(self, kat_spec, kat_key):
         z = shrink(kat_spec, kat_key, shrunken_period(5, 4))
