@@ -45,7 +45,6 @@ from .gf2 import (
 from .interleaved import (
     InterleavedConfig,
     KnownBits,
-    OffsetVector,
     build_ic,
 )
 from .lfsr import (
@@ -70,7 +69,6 @@ __all__ = [
     "KnownBits",
     "LfsrSpec",
     "LfsrState",
-    "OffsetVector",
     "PARSE_DEGREE_CAP",
     "SgSpec",
     "ShrinkingKey",

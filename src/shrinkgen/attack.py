@@ -13,8 +13,8 @@ one solves column 0, and phase two solves column j and clocks c_{o_{j-1}}
 to o = o_{j-1}+1 .. o_{j-1}+S, one int compare each, until an offset
 reaches S - 1, which settles all S selector bits.
 Last, every known bit is read from the recovered key in ascending position,
-so no keystream is generated and no column is built out: a row directly
-below the last one read is one multiply, any other row one jump.
+so no keystream is generated and no column is built out: a row past A - 1
+is one jump.
 
 Keys come out in canonical form (selector state starting with 1): a key whose
 selector starts with 0 yields its shift-equivalent canonical key, which
@@ -31,12 +31,12 @@ from typing import Iterable, Iterator
 from .errors import InconsistentDataError, InsufficientInputError, UnsupportedSizeError
 from .gf2 import BinaryPolynomial, _eliminate, _jump, _mulmod, mod_inverse
 from .generator import SgSpec, ShrinkingKey, column_poly
-from .interleaved import KnownBits, OffsetVector
-from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_generate
+from .interleaved import KnownBits
+from .lfsr import BitSequence, LfsrSpec, LfsrState, _state_mask, lfsr_generate
 
 # brute_force enumerates at most 2^(BRUTE_FORCE_MAX_BITS - 1) keys: S - 1 guessed
 # selector bits plus A - rank free data bits.
-BRUTE_FORCE_MAX_BITS = 24
+BRUTE_FORCE_MAX_BITS = 19
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class AttackResult:
 
     sra_state: LfsrState
     srs_state: LfsrState
-    offsets: OffsetVector
+    offsets: tuple[int, ...]
     column_poly: BinaryPolynomial
     work: WorkCounters
 
@@ -70,7 +70,7 @@ class AttackResult:
         return (
             f"sra_state={self.sra_state}\n"
             f"srs_state={self.srs_state}\n"
-            f"offsets={self.offsets}\n"
+            f"offsets={','.join(map(str, self.offsets))}\n"
             f"pd={self.column_poly}\n"
             f"comparisons={self.work.comparisons}\n"
         )
@@ -104,13 +104,12 @@ class _Reader:
     """
 
     def __init__(self, spec: SgSpec):
-        a, s, m = spec.a_length, spec.s_length, spec.pa.mask
-        self.spec, self.m, self.cols = spec, m, 1 << (s - 1)
+        a, s = spec.a_length, spec.s_length
+        self.spec, self.m, self.cols = spec, spec.pa.mask, 1 << (s - 1)
         self.ratio, self.period = (1 << s) - 1, (1 << a) - 1
-        self.taps, self.top = m ^ (1 << a), a - 1
+        self.taps, self.top = spec.sra.taps, a - 1
         self.rows = spec._rows  # R_0 .. R_{A-1}, built with the spec
         self.jumps = spec._jumps
-        self.step = self.rows[1]  # x^(2^S - 1) mod P_A: one row down
 
     def clock(self, c: int) -> int:
         """c_{o+1} from c_o."""
@@ -120,7 +119,6 @@ class _Reader:
         """(pos, j, bit, R_n) per known (pos, bit) pair, ascending; pos is cell (n, j).
 
         Rows below A come from the spec's row table; any other row is one
-        multiply from row n - 1 if that was the previous row read, else one
         jump through the spec's jump table: at most ceil(A/4) multiplies, no
         squarings.  R_n is periodic in n, so positions past one keystream
         period read as well.
@@ -131,8 +129,6 @@ class _Reader:
             if n != last:
                 if n < len(self.rows):
                     row = self.rows[n]
-                elif n == last + 1:
-                    row = _mulmod(row, self.step, self.m)
                 else:
                     row = _jump(self.jumps, n * self.ratio % self.period, self.m)
                 last = n
@@ -166,7 +162,7 @@ def _column_state(reader: _Reader, known: dict[int, int], j: int) -> int:
     return sum(((inv & v).bit_count() & 1) << p for p, inv in enumerate(reader.spec._col0_inverse))
 
 
-def _srs_phase(reader: _Reader, known: dict[int, int], c: int) -> tuple[LfsrState, OffsetVector]:
+def _srs_phase(reader: _Reader, known: dict[int, int], c: int) -> tuple[LfsrState, tuple[int, ...]]:
     """Selector state and offsets from the data state c = c_0."""
     s, offsets = reader.spec.s_length, [0]
     while offsets[-1] < s - 1:
@@ -181,13 +177,12 @@ def _srs_phase(reader: _Reader, known: dict[int, int], c: int) -> tuple[LfsrStat
         else:
             raise InconsistentDataError(f"no offset candidate up to {last} matches column {j}")
     bits = tuple(int(o in offsets) for o in range(s))
-    return LfsrState(bits), OffsetVector(tuple(offsets))
+    return LfsrState(bits), tuple(offsets)
 
 
 def _ones(spec: SgSpec, w: int) -> Iterator[int]:
     """Positions o_0, o_1, ... of the 1s in the selector sequence from state w (bit i = s_i)."""
-    s = spec.s_length
-    taps, top, t = spec.ps.mask ^ (1 << s), s - 1, 0
+    taps, top, t = spec.srs.taps, spec.s_length - 1, 0
     while True:
         if w & 1:
             yield t
@@ -195,13 +190,9 @@ def _ones(spec: SgSpec, w: int) -> Iterator[int]:
         t += 1
 
 
-def _state_mask(state: LfsrState) -> int:
-    return sum(b << i for i, b in enumerate(state.bits))
-
-
 def recover_srs(
     attack_input: AttackInput, d0: BitSequence, sra: LfsrState
-) -> tuple[LfsrState, OffsetVector]:
+) -> tuple[LfsrState, tuple[int, ...]]:
     """Phase two from the data state sra; d0 is the full first column sra was read from."""
     spec = attack_input.spec
     a, s = spec.a_length, spec.s_length
@@ -251,8 +242,8 @@ def attack(attack_input: AttackInput) -> AttackResult:
     Needs the A x S top-left IC cells, i.e. keystream positions
     n * 2^(S-1) + j for n < A, j < S.  Any further known bits, at any
     position, only feed the final check, which reads each from the key by
-    one AND, plus per row one multiply on P_A or one jump of at most
-    ceil(A/4) multiplies, so a far position costs no more than a near one.
+    one AND, plus per row past A - 1 one jump of at most ceil(A/4)
+    multiplies, so a far position costs no more than a near one.
     """
     spec = attack_input.spec
     a = spec.a_length

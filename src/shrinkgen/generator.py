@@ -31,8 +31,8 @@ def _check_lengths(a: int, s: int) -> None:
 class SgSpec:
     """Public parameters: data polynomial pa (degree A), selector polynomial ps (degree S).
 
-    Construction also does, once, the attack's work that depends on nothing
-    but the polynomials: the IC row masks R_n = x^(n(2^S - 1)) mod P_A for
+    Construction builds the two registers, sra and srs, and does, once, the
+    attack's work that depends on nothing but the polynomials: the IC row masks R_n = x^(n(2^S - 1)) mod P_A for
     n < A, the column polynomial P_D, the inverse of the column-0 system
     (R_n, cell (n, 0)), whose row p gives data bit p from the A cells, and a
     jump table on P_A that reads any other row in at most ceil(A/4) multiplies.
@@ -40,8 +40,8 @@ class SgSpec:
 
     pa: BinaryPolynomial
     ps: BinaryPolynomial
-    _sra: LfsrSpec = field(init=False, repr=False, compare=False)
-    _srs: LfsrSpec = field(init=False, repr=False, compare=False)
+    sra: LfsrSpec = field(init=False, repr=False, compare=False)
+    srs: LfsrSpec = field(init=False, repr=False, compare=False)
     _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _pd: BinaryPolynomial = field(init=False, repr=False, compare=False)
     _col0_inverse: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -56,7 +56,7 @@ class SgSpec:
         m = self.pa.mask
         rows = tuple(_powers(_xpow((1 << s) - 1, m), a, m))  # R_0 .. R_{A-1}
         pd = coset_min_poly((1 << s) - 1, self.pa)
-        for name, value in (("_sra", sra), ("_srs", srs), ("_rows", rows), ("_pd", pd),
+        for name, value in (("sra", sra), ("srs", srs), ("_rows", rows), ("_pd", pd),
                             ("_col0_inverse", _inverse(rows)), ("_jumps", _jump_table(m))):
             object.__setattr__(self, name, value)
 
@@ -67,14 +67,6 @@ class SgSpec:
     @property
     def s_length(self) -> int:
         return self.ps.degree
-
-    @property
-    def sra(self) -> LfsrSpec:
-        return self._sra
-
-    @property
-    def srs(self) -> LfsrSpec:
-        return self._srs
 
 
 @dataclass(frozen=True)

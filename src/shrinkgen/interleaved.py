@@ -1,4 +1,4 @@
-"""Interleaved-configuration layout: known bits, the IC view and column offsets.
+"""Interleaved-configuration layout: known bits and the IC view.
 
 One keystream period arranges row-major into the (2^A - 1) x 2^(S-1)
 interleaved configuration (IC): cell (n, j) holds keystream bit
@@ -12,7 +12,6 @@ print one matrix row per line with '.' for unknown cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .generator import _check_lengths
@@ -123,31 +122,4 @@ def build_ic(known: KnownBits, a: int, s: int) -> InterleavedConfig:
     """The (2^A - 1) x 2^(S-1) IC: position p at cell (p div 2^(S-1), p mod 2^(S-1))."""
     _check_lengths(a, s)
     return InterleavedConfig((1 << a) - 1, 1 << (s - 1), known)
-
-
-@dataclass(frozen=True)
-class OffsetVector:
-    """Column starting offsets o_j; o_0 = 0 under the s_0 = 1 normalization."""
-
-    offsets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        offs = tuple(int(o) for o in self.offsets)
-        if not offs or offs[0] != 0:
-            raise ValueError("offsets must start with o_0 = 0")
-        if any(b <= a for a, b in zip(offs, offs[1:])):
-            raise ValueError("offsets must be strictly increasing")
-        object.__setattr__(self, "offsets", offs)
-
-    def __len__(self) -> int:
-        return len(self.offsets)
-
-    def __getitem__(self, j: int) -> int:
-        return self.offsets[j]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.offsets)
-
-    def __str__(self) -> str:
-        return ",".join(str(o) for o in self.offsets)
 

@@ -145,10 +145,12 @@ def lfsr_stream(spec: LfsrSpec, state: LfsrState) -> Iterator[int]:
     """Yield the register's output sequence indefinitely."""
     if state.length != spec.length:
         raise ValueError(f"state has {state.length} bits, register needs {spec.length}")
-    reg = 0
-    for i, b in enumerate(state.bits):
-        reg |= b << i
-    return chain.from_iterable(_blocks(reg, spec.taps, spec.length))
+    return chain.from_iterable(_blocks(_state_mask(state), spec.taps, spec.length))
+
+
+def _state_mask(state: LfsrState) -> int:
+    """The state as an int, bit i = sequence term i."""
+    return sum(b << i for i, b in enumerate(state.bits))
 
 
 @lru_cache(maxsize=None)

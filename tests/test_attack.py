@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -27,6 +28,7 @@ from conftest import (
     submatrix_known,
 )
 from shrinkgen import (
+    BRUTE_FORCE_MAX_BITS,
     AttackInput,
     BinaryPolynomial,
     BitSequence,
@@ -35,7 +37,6 @@ from shrinkgen import (
     InterceptedDataError,
     KnownBits,
     LfsrState,
-    OffsetVector,
     SgSpec,
     ShrinkingKey,
     UnsupportedSizeError,
@@ -444,7 +445,7 @@ class TestReader:
             z = shrink(spec, key, shrunken_period(a, s))
             a_seq = lfsr_generate(spec.sra, key.sra_state, (1 << a) - 1)
             ones = selector_ones(spec, key)
-            offsets = OffsetVector(tuple(o - ones[0] for o in ones))
+            offsets = tuple(o - ones[0] for o in ones)
             states = state_per_column(reader, key, ones)
             cells = list(reader.cells(KnownBits.from_prefix(z).items()))
             assert len(cells) == len(z)
@@ -455,7 +456,7 @@ class TestReader:
 
     @pytest.mark.parametrize("a,s", [(21, 5), (31, 3)])
     def test_sampled_cells(self, a, s):
-        # random rows are jumps, a row right below the last one read is one multiply
+        # random rows, each read by one jump, and the row right below each of them
         rng = random.Random(149 * a + s)
         spec = make_spec(a, s)
         reader = _Reader(spec)
@@ -465,7 +466,7 @@ class TestReader:
             z = shrink(spec, key, 4096)
             a_seq = lfsr_generate(spec.sra, key.sra_state, 8192)
             ones = selector_ones(spec, key)
-            offsets = OffsetVector(tuple(o - ones[0] for o in ones))
+            offsets = tuple(o - ones[0] for o in ones)
             states = state_per_column(reader, key, ones)
             positions = sorted({p + d for p in rng.sample(range(4096 - cols), 48) for d in (0, cols)})
             for pos, j, bit, row in reader.cells((p, z[p]) for p in positions):
@@ -475,7 +476,7 @@ class TestReader:
 
     @pytest.mark.parametrize("a,s", [(21, 5), (31, 3)])
     def test_far_rows_match_xpow(self, a, s):
-        # rows up to 10^12, far apart (jumps) or right below the row before (one multiply)
+        # rows up to 10^12, far apart or right below the row before, each read by one jump
         rng = random.Random(157 * a + s)
         spec = make_spec(a, s)
         ratio, period, cols = (1 << s) - 1, (1 << a) - 1, 1 << (s - 1)
@@ -488,8 +489,8 @@ class TestReader:
 
     @pytest.mark.parametrize("a,s", [(12, 7), (21, 5), (31, 3)])
     def test_far_row_costs_at_most_a_quarter_a_multiplies(self, monkeypatch, a, s):
-        # counts multiplies, not time: an attack on the corner plus one known bit in a row
-        # that neither lies in the corner nor follows it reads that row by one jump
+        # counts multiplies, not time: an attack on the corner plus one known bit in a far
+        # row and one in the row right below it reads each of the two rows by one jump
         calls, mulmod = [], gf2._mulmod
 
         def counted(u, v, m):
@@ -504,13 +505,14 @@ class TestReader:
         for _ in range(20):
             key = random_key(rng, spec, s0=1)
             known = dict(submatrix_known(spec, key).items())
-            pos = rng.randrange(a + 1, (1 << a) - 1) * cols + rng.randrange(cols)
-            known[pos] = ic_identity_bit(spec, key, pos)
+            n = rng.randrange(a + 1, (1 << a) - 2)
+            for pos in (n * cols + rng.randrange(cols), (n + 1) * cols + rng.randrange(cols)):
+                known[pos] = ic_identity_bit(spec, key, pos)
             calls.clear()
             result = attack(AttackInput(spec, KnownBits(known)))
             assert ShrinkingKey(result.sra_state, result.srs_state) == key
             counts.append(len(calls))
-        assert 0 < max(counts) <= -(-a // 4), counts
+        assert 0 < max(counts) <= 2 * -(-a // 4), counts
 
 
 TABLE_SIZES = [(a, s) for a in range(2, 13) for s in range(1, a) if gcd(a, s) == 1]
@@ -728,6 +730,19 @@ class TestBruteForce:
         with pytest.raises(UnsupportedSizeError):
             brute_force(AttackInput(spec, KnownBits({})))
 
+    def test_result_memory_at_full_budget(self):
+        # (10,3) with no known bits returns all 4,092 keys; at this call's peak bytes per
+        # key, the 2^(BRUTE_FORCE_MAX_BITS - 1) keys the budget admits stay within 256 MiB
+        spec = make_spec(10, 3)
+        tracemalloc.start()
+        try:
+            keys = brute_force(AttackInput(spec, KnownBits({})))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(keys) == 1023 * 4
+        assert peak / len(keys) * (1 << (BRUTE_FORCE_MAX_BITS - 1)) <= 256 << 20
+
     def test_deterministic_order(self, kat_spec):
         partial = KnownBits({0: 1})
         first = brute_force(AttackInput(kat_spec, partial))
@@ -781,7 +796,7 @@ class TestBruteForce:
         known = {4 * n: 1 for n in range(8)}
         known[4 * (-o * mod_inverse(7, period) % period) + 1] = bit
         message = (f"(S - 1) + (A - rank) = {bits} key bits to enumerate exceed "
-                   "the exhaustive-search budget (23)")
+                   "the exhaustive-search budget (18)")
         with pytest.raises(UnsupportedSizeError) as raised:
             brute_force(AttackInput(spec, KnownBits(known)))
         assert str(raised.value) == message
@@ -802,5 +817,5 @@ class TestBruteForce:
         spec = make_spec(31, 3)
         known = submatrix_known(spec, random_key(random.Random(131), spec))
         column = KnownBits({p: b for p, b in known.items() if p % 4 == 0 and p < 4 * 9})
-        with pytest.raises(UnsupportedSizeError, match=r"^\(S - 1\) \+ \(A - rank\) = 24 .*\(23\)$"):
+        with pytest.raises(UnsupportedSizeError, match=r"^\(S - 1\) \+ \(A - rank\) = 24 .*\(18\)$"):
             brute_force(AttackInput(spec, column))

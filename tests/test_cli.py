@@ -306,13 +306,13 @@ class TestBruteVerb:
         assert out == f"sra_state={key.sra_state} srs_state={key.srs_state}\n"
 
     def test_over_budget_exits_1(self, capsys, tmp_path):
-        # one known bit leaves 4 selector bits plus 20 free data bits, over the budget of 23
+        # one known bit leaves 4 selector bits plus 20 free data bits, over the budget of 18
         path = tmp_path / "one.txt"
         path.write_text("0 1\n")
         code, out, err = invoke(capsys, "brute", "--pa", PRIMITIVE_POLYS[21], "--ps", PRIMITIVE_POLYS[5],
                                 "--known", str(path))
         assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("(23)\n")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("(18)\n")
 
 
 class TestAnalyzeVerb:

@@ -52,7 +52,7 @@ class TestSgSpec:
         assert spec.s_length == 1
 
     def test_value_semantics_ignore_the_tables(self):
-        # the tables built with a spec are private fields outside equality, hash and repr
+        # the registers and tables built with a spec are fields outside equality, hash and repr
         pa, ps = primitive(7), primitive(3)
         spec = SgSpec(pa, ps)
         assert list(inspect.signature(SgSpec).parameters) == ["pa", "ps"]
@@ -67,6 +67,9 @@ class TestSgSpec:
         spec = make_spec(7, 3)
         assert spec.sra is spec.sra and spec.sra == LfsrSpec(primitive(7))
         assert spec.srs is spec.srs and spec.srs == LfsrSpec(primitive(3))
+        for name in ("sra", "srs"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, LfsrSpec(primitive(5)))
 
     @pytest.mark.parametrize("pa, ps, message", [
         ("x^4+x^3+1", "1", "both polynomials must have degree >= 1"),

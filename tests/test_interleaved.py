@@ -22,7 +22,6 @@ from shrinkgen import (
     InconsistentDataError,
     KnownBits,
     LfsrState,
-    OffsetVector,
     berlekamp_massey,
     build_ic,
     column_poly,
@@ -131,35 +130,21 @@ class TestBuildIc:
         assert next(lines) == "." * 16
 
 
-class TestOffsetVector:
-    def test_validation(self):
-        OffsetVector((0, 1, 3))
-        with pytest.raises(ValueError):
-            OffsetVector((1, 2))
-        with pytest.raises(ValueError):
-            OffsetVector((0, 3, 2))
-        with pytest.raises(ValueError):
-            OffsetVector(())
-
-    def test_str(self):
-        assert str(OffsetVector((0, 1, 3))) == "0,1,3"
-
-
 class TestIcSourceIndex:
     def test_origin(self):
-        assert ic_source_index(0, 0, OffsetVector((0,)), 5, 4) == 0
+        assert ic_source_index(0, 0, (0,), 5, 4) == 0
 
     def test_known_rows(self):
-        offsets = OffsetVector((0, 1, 3))
+        offsets = (0, 1, 3)
         assert ic_source_index(23, 0, offsets, 5, 4) == 4
         assert ic_source_index(29, 0, offsets, 5, 4) == 1
 
     def test_unknown_offset(self):
         with pytest.raises(IndexError):
-            ic_source_index(0, 2, OffsetVector((0, 1)), 5, 4)
+            ic_source_index(0, 2, (0, 1), 5, 4)
 
     def test_range_checks(self):
-        offsets = OffsetVector((0,))
+        offsets = (0,)
         with pytest.raises(ValueError):
             ic_source_index(31, 0, offsets, 5, 4)
         with pytest.raises(ValueError):
@@ -174,7 +159,7 @@ class TestIcSourceIndex:
             t = shrunken_period(a, s)
             a_seq = lfsr_generate(spec.sra, key.sra_state, (1 << a) - 1)
             s_seq = lfsr_generate(spec.srs, key.srs_state, (1 << s) - 1)
-            offsets = OffsetVector(tuple(oracles.one_positions(list(s_seq))))
+            offsets = tuple(oracles.one_positions(list(s_seq)))
             assert len(offsets) == 1 << (s - 1)
             for pos, bit in enumerate(shrink(spec, key, t)):
                 n, j = divmod(pos, 1 << (s - 1))
