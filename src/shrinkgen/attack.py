@@ -6,15 +6,17 @@ equation in the data state: cell (n, j) = parity(R_n & c_{o_j}), where
 R_n = x^(n(2^S - 1)) mod P_A and c_o is the data state clocked o times.
 Everything that depends only on the public polynomials is built once, with
 the SgSpec: the masks R_0 .. R_{A-1}, the column polynomial P_D, the inverse
-of the A column-0 equations, and a jump table on P_A that gives any other R_n
-in at most ceil(A/4) multiplies.  The inverse turns the A cells of any
-column j into its data state c_{o_j}, one AND and a parity per bit: phase
-one solves column 0, and phase two solves column j and clocks c_{o_{j-1}}
-to o = o_{j-1}+1 .. o_{j-1}+S, one int compare each, until an offset
-reaches S - 1, which settles all S selector bits.
-Last, every known bit is read from the recovered key in ascending position,
-so no keystream is generated and no column is built out: a row past A - 1
-is one jump.
+of the A column-0 equations as one table per byte of a column, and a jump
+table on P_A that gives any other R_n in at most ceil(A/4) multiplies.  One
+pass over the known bits packs each corner column j into an A-bit int v_j
+(bit n = cell (n, j)), and ceil(A/8) table lookups turn v_j into its data
+state c_{o_j}.  Phase one solves column 0; phase two clocks c_{o_{j-1}} to
+o = o_{j-1}+1 .. o_{j-1}+S, one int compare each with column j's state,
+until an offset reaches S - 1, which settles all S selector bits.
+Last, the check compares each corner column's state with the key's, one
+compare per column, and reads every other known bit from the key, so no
+keystream is generated and no column is built out: a row past A - 1 is one
+jump.
 
 Keys come out in canonical form (selector state starting with 1): a key whose
 selector starts with 0 yields its shift-equivalent canonical key, which
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice, takewhile
 from typing import Iterable, Iterator
 
 from .errors import InconsistentDataError, InsufficientInputError, UnsupportedSizeError
@@ -94,90 +96,79 @@ def extend_column(colbits, pd: BinaryPolynomial) -> BitSequence:
     return lfsr_generate(spec, LfsrState(bits), spec.period)
 
 
-class _Reader:
-    """IC cells of one spec read on P_A: cell (n, j) = parity(R_n & c_{o_j}).
+def _cells(spec: SgSpec, known: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, int, int]]:
+    """(pos, j, bit, R_n) per known (pos, bit) pair, ascending; pos is cell (n, j).
 
     Data bit o + u is parity((x^u mod P_A) & c_o), c_o the data state (bit i
-    = a_{o+i}) clocked o times, and cell (n, j) is data bit n(2^S - 1) + o_j.
-    As an equation in an unknown data state c, the same cell has the mask
-    R_n * x^(o_j) mod P_A.
+    = a_{o+i}) clocked o times, and cell (n, j) is data bit n(2^S - 1) + o_j,
+    so cell (n, j) = parity(R_n & c_{o_j}); as an equation in an unknown data
+    state c, it has the mask R_n * x^(o_j) mod P_A.  Rows below A come from
+    the spec's row table; any other row is one jump through the spec's jump
+    table: at most ceil(A/4) multiplies, no squarings.  R_n is periodic in
+    n, so positions past one keystream period read as well.
     """
-
-    def __init__(self, spec: SgSpec):
-        a, s = spec.a_length, spec.s_length
-        self.spec, self.m, self.cols = spec, spec.pa.mask, 1 << (s - 1)
-        self.ratio, self.period = (1 << s) - 1, (1 << a) - 1
-        self.taps, self.top = spec.sra.taps, a - 1
-        self.rows = spec._rows  # R_0 .. R_{A-1}, built with the spec
-        self.jumps = spec._jumps
-
-    def clock(self, c: int) -> int:
-        """c_{o+1} from c_o."""
-        return (c >> 1) | (((c & self.taps).bit_count() & 1) << self.top)
-
-    def cells(self, known: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, int, int]]:
-        """(pos, j, bit, R_n) per known (pos, bit) pair, ascending; pos is cell (n, j).
-
-        Rows below A come from the spec's row table; any other row is one
-        jump through the spec's jump table: at most ceil(A/4) multiplies, no
-        squarings.  R_n is periodic in n, so positions past one keystream
-        period read as well.
-        """
-        last, row = -1, 0
-        for pos, bit in known:
-            n, j = divmod(pos, self.cols)
-            if n != last:
-                if n < len(self.rows):
-                    row = self.rows[n]
-                else:
-                    row = _jump(self.jumps, n * self.ratio % self.period, self.m)
-                last = n
-            yield pos, j, bit, row
+    a, s, m = spec.a_length, spec.s_length, spec.pa.mask
+    cols, ratio, period = 1 << (s - 1), (1 << s) - 1, (1 << a) - 1
+    last, row = -1, 0
+    for pos, bit in known:
+        n, j = divmod(pos, cols)
+        if n != last:
+            row = spec._rows[n] if n < a else _jump(spec._jumps, n * ratio % period, m)
+            last = n
+        yield pos, j, bit, row
 
 
-def _corner(attack_input: AttackInput) -> dict[int, int]:
-    """The known bits by position, once every A x S corner cell is among them."""
-    known = dict(attack_input.known.items())
+def _corner(attack_input: AttackInput) -> tuple[list[int], list[tuple[int, int]]]:
+    """Corner columns v_0 .. v_{S-1}, bit n of v_j = cell (n, j), and the other known bits.
+
+    One pass over the known bits, which must hold every A x S corner cell;
+    the far (position, bit) pairs keep their ascending order.
+    """
     a, s = attack_input.spec.a_length, attack_input.spec.s_length
-    cols = 1 << (s - 1)
-    missing = [(n, j) for n in range(a) for j in range(s) if n * cols + j not in known]
-    if missing:
+    shift, low, end = s - 1, (1 << (s - 1)) - 1, a << (s - 1)
+    columns, far = [0] * s, []
+    for pos, bit in attack_input.known.items():
+        if pos < end and pos & low < s:
+            columns[pos & low] |= bit << (pos >> shift)
+        else:
+            far.append((pos, bit))
+    if len(attack_input.known) - len(far) < a * s:
+        known = set(attack_input.known.positions())
+        missing = [(n, j) for n in range(a) for j in range(s) if n << shift | j not in known]
         raise InsufficientInputError(
             f"missing {len(missing)} of the required top-left {a}x{s} cells: {missing[:8]}"
         )
-    return known
+    return columns, far
 
 
-def _column_state(reader: _Reader, known: dict[int, int], j: int) -> int:
-    """The data state c_{o_j} from column j's A cells, one AND and a parity per bit.
+def _solve(spec: SgSpec, v: int) -> int:
+    """The data state c_{o_j} from column j's A cells v, one lookup per byte of v.
 
     P_D, the minimal polynomial of x^(2^S - 1), has degree A, so the masks
-    R_0 .. R_{A-1} of the equations (R_n, cell (n, j)) are independent.  The
-    spec holds the system's inverse, so a state matches all A cells exactly
-    when it equals this one: bit p is parity(inv_p & v), v the cells as bits.
-    Row p of the inverse is x^(n_p) mod P_D, n_p from row_positions: it reads
-    cell (n_p, j), the strategic cell that holds bit p, off the A cells.
+    R_0 .. R_{A-1} of the equations (R_n, cell (n, j)) are independent: a
+    state matches all A cells exactly when it equals this one.  Row p of the
+    spec's inverse is x^(n_p) mod P_D, n_p from row_positions: it reads the
+    strategic cell (n_p, j), which holds bit p, off the A cells.
     """
-    v = sum(known[n * reader.cols + j] << n for n in range(len(reader.rows)))
-    return sum(((inv & v).bit_count() & 1) << p for p, inv in enumerate(reader.spec._col0_inverse))
+    c = 0
+    for table, d in zip(spec._col0_tables, v.to_bytes(len(spec._col0_tables), "little")):
+        c ^= table[d]
+    return c
 
 
-def _srs_phase(reader: _Reader, known: dict[int, int], c: int) -> tuple[LfsrState, tuple[int, ...]]:
-    """Selector state and offsets from the data state c = c_0."""
-    s, offsets = reader.spec.s_length, [0]
+def _offsets(spec: SgSpec, solved: list[int], c: int) -> tuple[LfsrState, tuple[int, ...]]:
+    """Selector state and offsets from the data state c = c_0 and the solved columns' states."""
+    s, offsets, clocked = spec.s_length, [0], _clocked(spec, c, count(1))  # c_1, c_2, ...
     while offsets[-1] < s - 1:
         # A selector sequence never runs S zeros: column j starts at most S past column j-1.
         j, last = len(offsets), offsets[-1] + s
-        target = _column_state(reader, known, j)
-        for o in range(offsets[-1] + 1, last + 1):
-            c = reader.clock(c)  # c_o
-            if c == target:
+        for o, c in zip(range(offsets[-1] + 1, last + 1), clocked):
+            if c == solved[j]:
                 offsets.append(o)
                 break
         else:
             raise InconsistentDataError(f"no offset candidate up to {last} matches column {j}")
-    bits = tuple(int(o in offsets) for o in range(s))
-    return LfsrState(bits), tuple(offsets)
+    return LfsrState(tuple(int(o in offsets) for o in range(s))), tuple(offsets)
 
 
 def _ones(spec: SgSpec, w: int) -> Iterator[int]:
@@ -188,6 +179,16 @@ def _ones(spec: SgSpec, w: int) -> Iterator[int]:
             yield t
         w = (w >> 1) | (((w & taps).bit_count() & 1) << top)
         t += 1
+
+
+def _clocked(spec: SgSpec, c: int, ones: Iterable[int]) -> Iterator[int]:
+    """The data state c = c_0 clocked to each offset o in ones, ascending: c_o."""
+    taps, top, at = spec.sra.taps, spec.a_length - 1, 0
+    for o in ones:
+        for _ in range(o - at):
+            c = (c >> 1) | (((c & taps).bit_count() & 1) << top)
+        at = o
+        yield c
 
 
 def recover_srs(
@@ -203,29 +204,40 @@ def recover_srs(
         raise ValueError(f"data-register state needs {a} bits")
     if tuple(d0[n] for n in row_positions(a, s)) != sra.bits:
         raise ValueError("d0 and the recovered data-register state disagree")
-    return _srs_phase(_Reader(spec), _corner(attack_input), _state_mask(sra))
+    columns, _ = _corner(attack_input)
+    return _offsets(spec, [_solve(spec, v) for v in columns], _state_mask(sra))
 
 
-def _check_regeneration(reader: _Reader, key: ShrinkingKey, known: Iterable[tuple[int, int]]) -> None:
-    """Check known (position, bit) pairs, ascending, against the key without generating keystream.
+def _check_regeneration(spec: SgSpec, c: int, w: int, columns: list[int], solved: list[int],
+                        far: Iterable[tuple[int, int]]) -> None:
+    """Raise at the lowest position where the corner columns or the far (position, bit)
+    pairs disagree with the key: data state c and selector state w (bit i = a_i, s_i).
 
-    Each bit is one AND and a parity: cell (n, j) = parity(R_n & c_{o_j}).
-    The selector runs, and the data state is clocked, only as far as the
-    offset o_j of the highest column met.
+    Corner column j matches exactly when solved[j], _solve of its cells
+    columns[j], is the key's c_{o_j}: one compare, and only a mismatch reads
+    its rows, one parity each.  A far bit is one AND and a parity, plus one
+    jump per row past A - 1.  The selector runs, and the data state is
+    clocked, only as far as the offset o_j of the highest column met.
     """
-    c, o, states = _state_mask(key.sra_state), 0, []  # states[j] = c_{o_j}
-    ones = _ones(reader.spec, _state_mask(key.srs_state))
-    for pos, j, bit, row in reader.cells(known):
+    states, more = [], _clocked(spec, c, _ones(spec, w))  # states[j] = c_{o_j}
+    corner = []
+    for j, (v, state) in enumerate(zip(columns, solved)):
+        states.append(next(more))
+        if state != states[j]:
+            n = next(n for n, row in enumerate(spec._rows)
+                     if (row & states[j]).bit_count() & 1 != v >> n & 1)
+            corner.append(n << (spec.s_length - 1) | j)
+    lowest = min(corner, default=None)
+    if lowest is not None:
+        far = takewhile(lambda item: item[0] < lowest, far)
+    for pos, j, bit, row in _cells(spec, far):
         while len(states) <= j:
-            o_j = next(ones)
-            for _ in range(o_j - o):
-                c = reader.clock(c)
-            o = o_j
-            states.append(c)
+            states.append(next(more))
         if (row & states[j]).bit_count() & 1 != bit:
-            raise InconsistentDataError(
-                f"recovered key disagrees with the known bit at position {pos}"
-            )
+            lowest = pos
+            break
+    if lowest is not None:
+        raise InconsistentDataError(f"recovered key disagrees with the known bit at position {lowest}")
 
 
 @contextmanager
@@ -240,28 +252,30 @@ def attack(attack_input: AttackInput) -> AttackResult:
     """Run both phases, then check the recovered key regenerates every known bit.
 
     Needs the A x S top-left IC cells, i.e. keystream positions
-    n * 2^(S-1) + j for n < A, j < S.  Any further known bits, at any
-    position, only feed the final check, which reads each from the key by
-    one AND, plus per row past A - 1 one jump of at most ceil(A/4)
-    multiplies, so a far position costs no more than a near one.
+    n * 2^(S-1) + j for n < A, j < S.  Each corner column is read once, as
+    one A-bit int, and solved to its data state by ceil(A/8) table lookups;
+    the phases and the check compare those states with the clocked data
+    state, one int compare per candidate offset or column.  Any further
+    known bits, at any position, only feed the final check, which reads each
+    from the key by one AND, plus per row past A - 1 one jump of at most
+    ceil(A/4) multiplies, so a far position costs no more than a near one.
     """
     spec = attack_input.spec
-    a = spec.a_length
-    known = _corner(attack_input)
-    reader = _Reader(spec)
+    columns, far = _corner(attack_input)
+    solved = [_solve(spec, v) for v in columns]
     with _phase("sra-recovery"):
-        c = _column_state(reader, known, 0)
+        c = solved[0]
         if not c:
             raise InconsistentDataError("a genuine column never contains an all-zero window")
-        sra = LfsrState(tuple(c >> i & 1 for i in range(a)))
+        sra = LfsrState(tuple(c >> i & 1 for i in range(spec.a_length)))
     with _phase("srs-recovery"):
-        srs, offsets = _srs_phase(reader, known, c)
+        srs, offsets = _offsets(spec, solved, c)
     with _phase("regeneration-check"):
-        _check_regeneration(reader, ShrinkingKey(sra, srs), known.items())
+        _check_regeneration(spec, c, _state_mask(srs), columns, solved, far)
     with _phase("column-poly"):
         pd = column_poly(spec)
-    # _srs_phase tries each candidate offset 1 .. o_last once and reads A cells per column
-    work = WorkCounters(comparisons=offsets[-1], column_bits_expanded=a * len(offsets))
+    # _offsets tries each candidate offset 1 .. o_last once and reads A cells per column
+    work = WorkCounters(comparisons=offsets[-1], column_bits_expanded=spec.a_length * len(offsets))
     return AttackResult(sra, srs, offsets, pd, work)
 
 
@@ -288,9 +302,9 @@ def brute_force(attack_input: AttackInput) -> list[ShrinkingKey]:
         raise UnsupportedSizeError(
             f"S - 1 = {s - 1} guessed selector bits exceed the exhaustive-search budget ({budget})"
         )
-    reader = _Reader(spec)
+    taps, top = spec.sra.taps, a - 1
     columns: dict[int, list[tuple[int, int]]] = {}  # j -> (R_n, bit) of its known cells
-    for _, j, bit, row in reader.cells(attack_input.known.items()):
+    for _, j, bit, row in _cells(spec, attack_input.known.items()):
         columns.setdefault(j, []).append((row, bit))
     width = max(columns, default=-1) + 1
     shifts = [1]  # x^o mod P_A, grown as far as the offsets reach
@@ -311,14 +325,16 @@ def brute_force(attack_input: AttackInput) -> list[ShrinkingKey]:
             if len(pivots) < a:
                 while len(shifts) <= o:
                     shifts.append(_mulmod(shifts[-1], 2, m))
-                rows = ((_mulmod(row, shifts[o], m), bit) for row, bit in cells)
+                # R_n = 1 only in row 0 (and its period multiples): R_0 * x^o is x^o itself
+                rows = ((shifts[o] if row == 1 else _mulmod(row, shifts[o], m), bit)
+                        for row, bit in cells)
                 if _eliminate(rows, pivots) is None:
                     return None
                 if len(pivots) < a:
                     continue
                 c, at = sum(bit << p for p, (_, bit) in pivots.items()), 0
             for _ in range(o - at):
-                c = reader.clock(c)
+                c = (c >> 1) | (((c & taps).bit_count() & 1) << top)
             at = o
             if any((row & c).bit_count() & 1 != bit for row, bit in cells):
                 return None

@@ -13,8 +13,8 @@ from math import gcd
 from typing import Iterator
 
 from .errors import InconsistentDataError
-from .gf2 import (BinaryPolynomial, _inverse, _jump_table, _mulmod, _powers, _xpow,
-                  berlekamp_massey, coset_min_poly)
+from .gf2 import (BinaryPolynomial, _byte_tables, _inverse, _jump_table, _mulmod, _powers,
+                  _xpow, berlekamp_massey, coset_min_poly)
 from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_stream
 
 
@@ -32,10 +32,12 @@ class SgSpec:
     """Public parameters: data polynomial pa (degree A), selector polynomial ps (degree S).
 
     Construction builds the two registers, sra and srs, and does, once, the
-    attack's work that depends on nothing but the polynomials: the IC row masks R_n = x^(n(2^S - 1)) mod P_A for
-    n < A, the column polynomial P_D, the inverse of the column-0 system
-    (R_n, cell (n, 0)), whose row p gives data bit p from the A cells, and a
-    jump table on P_A that reads any other row in at most ceil(A/4) multiplies.
+    attack's work that depends on nothing but the polynomials: the IC row
+    masks R_n = x^(n(2^S - 1)) mod P_A for n < A, the column polynomial P_D,
+    the inverse of the column-0 system (R_n, cell (n, 0)) as one table per
+    byte of a packed column v (bit n = cell (n, j)), whose entries xor to the
+    data state c_{o_j} in ceil(A/8) lookups, and a jump table on P_A that
+    reads any other row in at most ceil(A/4) multiplies.
     """
 
     pa: BinaryPolynomial
@@ -44,7 +46,7 @@ class SgSpec:
     srs: LfsrSpec = field(init=False, repr=False, compare=False)
     _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _pd: BinaryPolynomial = field(init=False, repr=False, compare=False)
-    _col0_inverse: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _col0_tables: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _jumps: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -56,8 +58,9 @@ class SgSpec:
         m = self.pa.mask
         rows = tuple(_powers(_xpow((1 << s) - 1, m), a, m))  # R_0 .. R_{A-1}
         pd = coset_min_poly((1 << s) - 1, self.pa)
+        tables = _byte_tables(_inverse(rows), a)
         for name, value in (("sra", sra), ("srs", srs), ("_rows", rows), ("_pd", pd),
-                            ("_col0_inverse", _inverse(rows)), ("_jumps", _jump_table(m))):
+                            ("_col0_tables", tables), ("_jumps", _jump_table(m))):
             object.__setattr__(self, name, value)
 
     @property

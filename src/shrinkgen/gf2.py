@@ -214,6 +214,24 @@ def _inverse(masks: list[int]) -> tuple[int, ...]:
     return tuple(pivots[p][1] for p in range(len(masks)))
 
 
+def _byte_tables(rows: list[int], width: int) -> tuple[tuple[int, ...], ...]:
+    """The GF(2) map c -> sum of parity(rows[p] & c) << p, for width-bit c, one table per byte.
+
+    Table k, entry d, is the image of c = d << 8k, so the image of any c is
+    the xor of one entry per byte of c: the "Four Russians" tables of
+    Arlazarov, Dinic, Kronrod and Faradzev.
+    """
+    # Column b of the rows, as an int: the image of bit b alone.
+    columns = [int("".join(col)[::-1], 2) for col in zip(*(f"{r:0{width}b}" for r in rows))][::-1]
+    tables = []
+    for k in range(0, width, 8):
+        table = [0]
+        for column in columns[k:k + 8]:
+            table += [entry ^ column for entry in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 @lru_cache(maxsize=None)
 def poly_is_primitive(p: BinaryPolynomial) -> bool:
     """True iff p is primitive over GF(2): irreducible with x of maximal order.

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
-from .gf2 import BinaryPolynomial, _mulmod, _powers, poly_is_primitive
+from .gf2 import BinaryPolynomial, _byte_tables, _mulmod, _powers, poly_is_primitive
 
 # Clocks per stream step, a multiple of 8.  Each step costs ceil(L/8) table
 # lookups plus the bytes of its output, and each table entry holds
@@ -166,15 +166,7 @@ def _block_tables(taps: int, length: int) -> tuple[tuple[int, ...], ...]:
     m = taps | 1 << length
     powers = _powers(_mulmod(1, 2, m), _BLOCK_BITS + length, m)  # x^u mod P
     rows = powers[_BLOCK_BITS:] + powers[:_BLOCK_BITS]  # row p gives bit p of an entry
-    # Column b of the rows, as an int: the entry of state bit b alone.
-    columns = [int("".join(col)[::-1], 2) for col in zip(*(f"{r:0{length}b}" for r in rows))][::-1]
-    tables = []
-    for k in range(0, length, 8):
-        table = [0]
-        for column in columns[k:k + 8]:
-            table += [entry ^ column for entry in table]
-        tables.append(tuple(table))
-    return tuple(tables)
+    return _byte_tables(rows, length)
 
 
 def _blocks(reg: int, taps: int, length: int) -> Iterator[bytes]:

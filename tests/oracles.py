@@ -173,6 +173,21 @@ def exhaustive_keys(pa, ps, known):
     return keys
 
 
+def first_disagreement(pa, ps, sra, srs, known):
+    """Lowest position in `known` whose bit the key's keystream does not have, or None.
+
+    A per-cell walk: pa and ps are coefficient lists, sra and srs the state
+    bits, `known` maps keystream position to bit.  Each known bit, in
+    ascending position, is compared with the data bit at the clock of the
+    selector's (k+1)-th 1, both registers run by `lfsr_run`.
+    """
+    selector = lfsr_run(list(ps), list(srs), lfsr_min_period(list(ps), list(srs)))
+    ones = one_positions(selector)
+    clock = {pos: pos // len(ones) * len(selector) + ones[pos % len(ones)] for pos in known}
+    data = lfsr_run(list(pa), list(sra), max(clock.values(), default=0) + 1)
+    return next((pos for pos in sorted(known) if data[clock[pos]] != known[pos]), None)
+
+
 def solve_unique(masks, bits, n):
     """The one n-bit solution c of parity(masks[i] & c) = bits[i], as a bit list, or None.
 

@@ -54,9 +54,9 @@ from shrinkgen import (
     shrink,
     shrunken_period,
 )
-from shrinkgen.attack import _Reader, _check_regeneration, _column_state
+from shrinkgen.attack import _cells, _check_regeneration, _clocked, _corner, _solve
 from shrinkgen import gf2
-from shrinkgen.gf2 import _powers, _xpow
+from shrinkgen.gf2 import _inverse, _powers, _xpow
 from shrinkgen.lfsr import _block_tables
 
 
@@ -379,24 +379,60 @@ def ic_identity_bit(spec, key, pos):
     return sum(c & b for c, b in zip(power, key.sra_state.bits)) % 2
 
 
+def check_regeneration(spec, key, known):
+    """_check_regeneration of the key against known bits that hold the whole corner."""
+    columns, far = _corner(AttackInput(spec, known))
+    c, w = (oracles.list_to_mask(state.bits) for state in (key.sra_state, key.srs_state))
+    _check_regeneration(spec, c, w, columns, [_solve(spec, v) for v in columns], far)
+
+
 class TestRegenerationCheck:
     @pytest.mark.parametrize("a,s", [(5, 2), (5, 3), (5, 4), (7, 3), (7, 5)])
     def test_jump_reads_match_shrink(self, a, s):
-        # a full period is accepted; flipped bits are reported at the lowest flipped position
+        # a full period is accepted; flipped bits, in corner columns and far cells alike, are
+        # reported at the lowest flipped position, for keys of either selector phase
         rng = random.Random(103 * a + s)
         spec = make_spec(a, s)
         period = shrunken_period(a, s)
         for s0 in (0, 0, 1, None):
             key = random_key(rng, spec, s0=s0)
             z = shrink(spec, key, period)
-            _check_regeneration(_Reader(spec), key, KnownBits.from_prefix(z).items())
+            check_regeneration(spec, key, KnownBits.from_prefix(z))
             single = [(p,) for p in {0, period - 1} | set(rng.sample(range(period), 32))]
             pairs = [tuple(sorted(rng.sample(range(period), 2))) for _ in range(8)]
             for flips in single + pairs:
-                flipped = KnownBits.from_prefix(b ^ (i in flips) for i, b in enumerate(z)).items()
+                flipped = KnownBits.from_prefix(b ^ (i in flips) for i, b in enumerate(z))
                 message = f"^recovered key disagrees with the known bit at position {flips[0]}$"
                 with pytest.raises(InconsistentDataError, match=message):
-                    _check_regeneration(_Reader(spec), key, flipped)
+                    check_regeneration(spec, key, flipped)
+
+    @pytest.mark.parametrize("a,s", [(5, 4), (12, 7), (21, 8)])
+    def test_several_flips_named_at_the_lowest(self, a, s):
+        # Flips in the corner columns phase two leaves to the check (j >= len(offsets)) and
+        # in far bits at once: the attack names the lowest of them, as a per-cell walk does.
+        rng = random.Random(199 * a + s)
+        spec, cols, checked = make_spec(a, s), 1 << (s - 1), 0
+        pa, ps = oracles.mask_to_list(spec.pa.mask), oracles.mask_to_list(spec.ps.mask)
+        for _ in range(8):
+            key = random_key(rng, spec, s0=1)
+            corner = dict(submatrix_known(spec, key).items())
+            offsets = attack(AttackInput(spec, KnownBits(corner))).offsets
+            later = [p for p in sorted(corner) if p % cols >= len(offsets)]
+            if not later:
+                continue
+            z = shrink(spec, key, min(shrunken_period(a, s), 4096))
+            far = {p: z[p] for p in rng.sample(sorted(set(range(len(z))) - set(corner)), 8)}
+            known = {**corner, **far}
+            flips = rng.sample(later, min(3, len(later))) + rng.sample(sorted(far), 3)
+            for p in flips:
+                known[p] ^= 1
+            walk = oracles.first_disagreement(pa, ps, key.sra_state.bits, key.srs_state.bits, known)
+            assert walk == min(flips)
+            message = f"^regeneration-check: recovered key disagrees with the known bit at position {walk}$"
+            with pytest.raises(InconsistentDataError, match=message):
+                attack(AttackInput(spec, KnownBits(known)))
+            checked += 1
+        assert checked >= 4
 
     def test_ic_identity_oracle_matches_shrink(self):
         rng = random.Random(107)
@@ -422,14 +458,9 @@ class TestRegenerationCheck:
             attack(AttackInput(spec, KnownBits(known)))
 
 
-def state_per_column(reader, key, ones):
+def state_per_column(spec, key, ones):
     """c_{o_j} for each o_j in ones: the key's data state clocked o_j times."""
-    c, states = sum(b << i for i, b in enumerate(key.sra_state.bits)), []
-    for o in range(ones[-1] + 1):
-        if o in ones:
-            states.append(c)
-        c = reader.clock(c)
-    return states
+    return list(_clocked(spec, oracles.list_to_mask(key.sra_state.bits), ones))
 
 
 class TestReader:
@@ -439,15 +470,14 @@ class TestReader:
         # o_0 + ic_source_index(n, j) under the offsets counted from o_0, for either selector phase
         rng = random.Random(139 * a + s)
         spec = make_spec(a, s)
-        reader = _Reader(spec)
         for s0 in (0, 1):
             key = random_key(rng, spec, s0=s0)
             z = shrink(spec, key, shrunken_period(a, s))
             a_seq = lfsr_generate(spec.sra, key.sra_state, (1 << a) - 1)
             ones = selector_ones(spec, key)
             offsets = tuple(o - ones[0] for o in ones)
-            states = state_per_column(reader, key, ones)
-            cells = list(reader.cells(KnownBits.from_prefix(z).items()))
+            states = state_per_column(spec, key, ones)
+            cells = list(_cells(spec, KnownBits.from_prefix(z).items()))
             assert len(cells) == len(z)
             for pos, j, bit, row in cells:
                 n = pos >> (s - 1)
@@ -459,7 +489,6 @@ class TestReader:
         # random rows, each read by one jump, and the row right below each of them
         rng = random.Random(149 * a + s)
         spec = make_spec(a, s)
-        reader = _Reader(spec)
         cols = 1 << (s - 1)
         for s0 in (0, 1):
             key = random_key(rng, spec, s0=s0)
@@ -467,9 +496,9 @@ class TestReader:
             a_seq = lfsr_generate(spec.sra, key.sra_state, 8192)
             ones = selector_ones(spec, key)
             offsets = tuple(o - ones[0] for o in ones)
-            states = state_per_column(reader, key, ones)
+            states = state_per_column(spec, key, ones)
             positions = sorted({p + d for p in rng.sample(range(4096 - cols), 48) for d in (0, cols)})
-            for pos, j, bit, row in reader.cells((p, z[p]) for p in positions):
+            for pos, j, bit, row in _cells(spec, ((p, z[p]) for p in positions)):
                 t = ones[0] + ic_source_index(pos // cols, j, offsets, a, s)
                 assert (row & states[j]).bit_count() & 1 == bit == a_seq[t], (s0, pos)
 
@@ -483,7 +512,7 @@ class TestReader:
         rows = {n + d for n in (rng.randrange(10**12) for _ in range(200)) for d in (0, 1)}
         rows |= {0, a - 1, a, a + 1, 10**12}
         known = [(n * cols + rng.randrange(cols), 0) for n in sorted(rows)]
-        for pos, _, _, row in _Reader(spec).cells(known):
+        for pos, _, _, row in _cells(spec, known):
             n = pos // cols
             assert row == _xpow(n * ratio % period, spec.pa.mask), n
 
@@ -542,22 +571,58 @@ class TestSpecTables:
         # (x^((2^S - 1)^-1) mod P_D)^i, since n_i = i (2^S - 1)^-1 mod 2^A - 1
         spec = make_spec(a, s)
         pd = spec._pd.mask
-        assert spec._col0_inverse == tuple(_xpow(n, pd) for n in row_positions(a, s))
+        inverse = _inverse(spec._rows)
+        assert inverse == tuple(_xpow(n, pd) for n in row_positions(a, s))
         step = _xpow(mod_inverse((1 << s) - 1, (1 << a) - 1), pd)
-        assert spec._col0_inverse == tuple(_powers(step, a, pd))
+        assert inverse == tuple(_powers(step, a, pd))
 
     @pytest.mark.parametrize("a,s", TABLE_SIZES)
     def test_phase_one_matches_elimination(self, a, s):
-        # any A cells of any column, genuine or not, solve to the elimination's state
+        # any A cells of any column, genuine or not, packed by _corner, solve to the
+        # elimination's state
         spec = make_spec(a, s)
-        reader, cols = _Reader(spec), 1 << (s - 1)
+        cols = 1 << (s - 1)
         rng = random.Random(151 * a + s)
         for _ in range(8):
             v, j = rng.randrange(1, 1 << a), rng.randrange(s)
             bits = [v >> n & 1 for n in range(a)]
-            known = {n * cols + j: bit for n, bit in enumerate(bits)}
+            known = {n * cols + i: bits[n] if i == j else 0 for n in range(a) for i in range(s)}
+            columns, far = _corner(AttackInput(spec, KnownBits(known)))
+            assert columns[j] == v and far == []
             solution = oracles.solve_unique(spec._rows, bits, a)
-            assert _column_state(reader, known, j) == oracles.list_to_mask(solution)
+            assert _solve(spec, columns[j]) == oracles.list_to_mask(solution)
+
+    @pytest.mark.parametrize("a,s", TABLE_SIZES)
+    def test_table_solve_matches_parity_solve(self, a, s):
+        # Every column v at A <= 12, and 200 random ones above, against bit p =
+        # parity(inverse_p & v).  Both maps are linear, so the elimination oracle checks
+        # them on the unit columns, which settles every v, and on 50 random ones.
+        spec = make_spec(a, s)
+        inverse = _inverse(spec._rows)
+        rng = random.Random(167 * a + s)
+        vs = range(1 << a) if a <= 12 else [rng.randrange(1 << a) for _ in range(200)]
+        for v in vs:
+            c = sum(((inv & v).bit_count() & 1) << p for p, inv in enumerate(inverse))
+            assert _solve(spec, v) == c, v
+        for v in [1 << n for n in range(a)] + [rng.randrange(1 << a) for _ in range(50)]:
+            solution = oracles.solve_unique(spec._rows, [v >> n & 1 for n in range(a)], a)
+            assert _solve(spec, v) == oracles.list_to_mask(solution), v
+
+    @pytest.mark.parametrize("a,s", [(5, 4), (12, 7), (21, 8), (31, 5)])
+    def test_tables_built_with_the_spec(self, a, s):
+        # nothing is built on the first attack: it peaks no higher than the second one
+        rng = random.Random(181 * a + s)
+        spec = SgSpec(primitive(a), primitive(s))
+        known = submatrix_known(spec, random_key(rng, spec, s0=1))
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                attack(AttackInput(spec, known))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], peaks
 
 
 COLUMN_STATE_SIZES = [(5, 4), (8, 3), (12, 7), (21, 8), (31, 5)]
@@ -575,16 +640,20 @@ def data_states(spec, key, count):
 class TestColumnState:
     @pytest.mark.parametrize("a,s", COLUMN_STATE_SIZES)
     def test_each_column_solves_to_its_clocked_data_state(self, a, s):
+        # _corner packs column j's A cells into one int, which _solve turns into c_{o_j}
         spec = make_spec(a, s)
-        reader, cols = _Reader(spec), 1 << (s - 1)
+        cols = 1 << (s - 1)
         rng = random.Random(173 * a + s)
         for _ in range(6):
             key = random_key(rng, spec)
             known = dict(submatrix_known(spec, key).items())
             states, offsets = data_states(spec, key, 1 << s)
+            columns, far = _corner(AttackInput(spec, KnownBits(known)))
+            assert far == []
             for j in range(s):
                 cells = [known[n * cols + j] for n in range(a)]
-                got = _column_state(reader, known, j)
+                assert columns[j] == sum(bit << n for n, bit in enumerate(cells))
+                got = _solve(spec, columns[j])
                 solution = oracles.list_to_mask(oracles.solve_unique(spec._rows, cells, a))
                 assert got == states[offsets[j]] == solution, (key, j)
 
@@ -594,19 +663,20 @@ class TestColumnState:
         # offset matching, unless the flipped column's state happens to be the data
         # state at another candidate offset: those flips are counted, not asserted.
         spec = make_spec(a, s)
-        reader, cols = _Reader(spec), 1 << (s - 1)
+        cols = 1 << (s - 1)
         rng = random.Random(179 * a + s)
         checked = 0
         for _ in range(6):
             key = random_key(rng, spec, s0=1)
             known = dict(submatrix_known(spec, key).items())
+            columns, _ = _corner(AttackInput(spec, KnownBits(known)))
             offsets = attack(AttackInput(spec, KnownBits(known))).offsets
             states = data_states(spec, key, 1 << s)[0]
             j = rng.randrange(1, len(offsets))
             last = offsets[j - 1] + s
             for n in range(a):
                 flipped = {p: b ^ (p == n * cols + j) for p, b in known.items()}
-                if _column_state(reader, flipped, j) in states[offsets[j - 1] + 1:last + 1]:
+                if _solve(spec, columns[j] ^ 1 << n) in states[offsets[j - 1] + 1:last + 1]:
                     continue
                 checked += 1
                 message = f"^srs-recovery: no offset candidate up to {last} matches column {j}$"
@@ -782,6 +852,26 @@ class TestBruteForce:
         assert brute_force(AttackInput(spec, KnownBits(known))) == []
         with pytest.raises(InterceptedDataError):
             attack(AttackInput(spec, KnownBits(known)))
+
+    def test_row_zero_cells_cost_no_multiply(self, monkeypatch):
+        # On a 50-bit (21,8) prefix every known bit sits in row 0, where R_0 = 1, so a cell
+        # at offset o is x^o itself: the only multiplies left grow the table of x^o, one
+        # per offset below 2^S - 1 (the parent multiplied R_0 * x^o too, about 1,700 per call).
+        calls, mulmod = [], gf2._mulmod
+
+        def counted(u, v, m):
+            calls.append(v)
+            return mulmod(u, v, m)
+
+        monkeypatch.setattr(gf2, "_mulmod", counted)
+        monkeypatch.setattr(importlib.import_module("shrinkgen.attack"), "_mulmod", counted)
+        rng = random.Random(197)
+        spec = make_spec(21, 8)
+        for _ in range(4):
+            key = random_key(rng, spec, s0=1)
+            calls.clear()
+            assert brute_force(AttackInput(spec, KnownBits.from_prefix(shrink(spec, key, 50)))) == [key]
+            assert set(calls) == {2} and len(calls) <= (1 << 8) - 2, len(calls)
 
     @pytest.mark.parametrize("o,bit,bits", [(1, 1, 24), (3, 1, 25), (3, 0, 24)])
     def test_budget_error_names_the_first_consistent_state_over_it(self, o, bit, bits):

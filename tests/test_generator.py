@@ -84,6 +84,7 @@ class TestSgSpec:
 
         monkeypatch.setattr("shrinkgen.generator._powers", unreachable)
         monkeypatch.setattr("shrinkgen.generator._inverse", unreachable)
+        monkeypatch.setattr("shrinkgen.generator._byte_tables", unreachable)
         monkeypatch.setattr("shrinkgen.generator._jump_table", unreachable)
         monkeypatch.setattr("shrinkgen.generator.coset_min_poly", unreachable)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
