@@ -6,17 +6,18 @@ equation in the data state: cell (n, j) = parity(R_n & c_{o_j}), where
 R_n = x^(n(2^S - 1)) mod P_A and c_o is the data state clocked o times.
 Everything that depends only on the public polynomials is built once, with
 the SgSpec: the masks R_0 .. R_{A-1}, the column polynomial P_D, the inverse
-of the A column-0 equations as one table per byte of a column, and a jump
-table on P_A that gives any other R_n in at most ceil(A/4) multiplies.  One
-pass over the known bits packs each corner column j into an A-bit int v_j
-(bit n = cell (n, j)), and ceil(A/8) table lookups turn v_j into its data
-state c_{o_j}.  Phase one solves column 0; phase two clocks c_{o_{j-1}} to
-o = o_{j-1}+1 .. o_{j-1}+S, one int compare each with column j's state,
-until an offset reaches S - 1, which settles all S selector bits.
-Last, the check compares each corner column's state with the key's, one
-compare per column, and reads every other known bit from the key, so no
-keystream is generated and no column is built out: a row past A - 1 is one
-jump.
+of the A column-0 equations as one table per byte of a column, a jump table
+on P_A that gives any other R_n in at most ceil(A/8) - 1 multiplies, and
+both registers' block tables.  One pass over the known bits packs each
+corner column j into an A-bit int v_j (bit n = cell (n, j)), and ceil(A/8)
+table lookups turn v_j into its data state c_{o_j}.  Phase one solves
+column 0.  Block steps of 256 clocks read the data bits into one int, the
+window, so c_o = window >> o & (2^A - 1); phase two compares c_o for
+o = o_{j-1}+1 .. o_{j-1}+S with column j's state until an offset reaches
+S - 1, which settles all S selector bits.  The check takes o_0 .. o_J, up
+to the highest known column J, from the selector's block steps, compares
+each corner column's state with the key's and reads every other known bit
+off the window; no register is clocked bit by bit, and far rows are jumps.
 
 Keys come out in canonical form (selector state starting with 1): a key whose
 selector starts with 0 yields its shift-equivalent canonical key, which
@@ -27,14 +28,16 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import count, islice, takewhile
-from typing import Iterable, Iterator
+from itertools import compress, count, islice, takewhile
+from typing import Iterable
 
 from .errors import InconsistentDataError, InsufficientInputError, UnsupportedSizeError
 from .gf2 import BinaryPolynomial, _eliminate, _jump, _mulmod, mod_inverse
 from .generator import SgSpec, ShrinkingKey, column_poly
 from .interleaved import KnownBits
-from .lfsr import BitSequence, LfsrSpec, LfsrState, _state_mask, lfsr_generate
+from .lfsr import BitSequence, LfsrSpec, LfsrState, _state_mask, _window, lfsr_generate
+
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")  # ASCII digits to the 0/1 bytes compress reads
 
 # brute_force enumerates at most 2^(BRUTE_FORCE_MAX_BITS - 1) keys: S - 1 guessed
 # selector bits plus A - rank free data bits.
@@ -96,26 +99,20 @@ def extend_column(colbits, pd: BinaryPolynomial) -> BitSequence:
     return lfsr_generate(spec, LfsrState(bits), spec.period)
 
 
-def _cells(spec: SgSpec, known: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, int, int]]:
-    """(pos, j, bit, R_n) per known (pos, bit) pair, ascending; pos is cell (n, j).
+def _row(spec: SgSpec, n: int) -> int:
+    """R_n = x^(n(2^S - 1)) mod P_A, the mask of IC row n.
 
     Data bit o + u is parity((x^u mod P_A) & c_o), c_o the data state (bit i
     = a_{o+i}) clocked o times, and cell (n, j) is data bit n(2^S - 1) + o_j,
     so cell (n, j) = parity(R_n & c_{o_j}); as an equation in an unknown data
     state c, it has the mask R_n * x^(o_j) mod P_A.  Rows below A come from
     the spec's row table; any other row is one jump through the spec's jump
-    table: at most ceil(A/4) multiplies, no squarings.  R_n is periodic in
-    n, so positions past one keystream period read as well.
+    table: at most ceil(A/8) - 1 multiplies, no squarings.  R_n is periodic
+    in n, so positions past one keystream period read as well.
     """
-    a, s, m = spec.a_length, spec.s_length, spec.pa.mask
-    cols, ratio, period = 1 << (s - 1), (1 << s) - 1, (1 << a) - 1
-    last, row = -1, 0
-    for pos, bit in known:
-        n, j = divmod(pos, cols)
-        if n != last:
-            row = spec._rows[n] if n < a else _jump(spec._jumps, n * ratio % period, m)
-            last = n
-        yield pos, j, bit, row
+    if n < len(spec._rows):
+        return spec._rows[n]
+    return _jump(spec._jumps, n * ((1 << spec.s_length) - 1) % spec.sra.period, spec.pa.mask)
 
 
 def _corner(attack_input: AttackInput) -> tuple[list[int], list[tuple[int, int]]]:
@@ -156,39 +153,26 @@ def _solve(spec: SgSpec, v: int) -> int:
     return c
 
 
-def _offsets(spec: SgSpec, solved: list[int], c: int) -> tuple[LfsrState, tuple[int, ...]]:
-    """Selector state and offsets from the data state c = c_0 and the solved columns' states."""
-    s, offsets, clocked = spec.s_length, [0], _clocked(spec, c, count(1))  # c_1, c_2, ...
+def _column_offsets(spec: SgSpec, w: int, columns: int) -> list[int]:
+    """o_0 .. o_{columns-1}, the positions of the first 1s in the selector sequence from
+    state w (bit i = s_i): at most S apart, all within its first 2^S - 1 bits."""
+    s = spec.s_length
+    bits = f"{_window(w, spec._srs_blocks, s, min(columns * s, (1 << s) - 1)):b}"[::-1].encode()
+    return list(islice(compress(count(), bits.translate(_ZERO_ONE)), columns))
+
+
+def _offsets(spec: SgSpec, solved: list[int], window: int) -> tuple[int, tuple[int, ...]]:
+    """Selector state (bit i = s_i) and offsets from the solved columns' states and the
+    data window of c_0, which must hold a_u for u < A + 2S - 2."""
+    s, mask, offsets = spec.s_length, (1 << spec.a_length) - 1, [0]
     while offsets[-1] < s - 1:
         # A selector sequence never runs S zeros: column j starts at most S past column j-1.
         j, last = len(offsets), offsets[-1] + s
-        for o, c in zip(range(offsets[-1] + 1, last + 1), clocked):
-            if c == solved[j]:
-                offsets.append(o)
-                break
-        else:
+        o = next((o for o in range(offsets[-1] + 1, last + 1) if window >> o & mask == solved[j]), 0)
+        if not o:
             raise InconsistentDataError(f"no offset candidate up to {last} matches column {j}")
-    return LfsrState(tuple(int(o in offsets) for o in range(s))), tuple(offsets)
-
-
-def _ones(spec: SgSpec, w: int) -> Iterator[int]:
-    """Positions o_0, o_1, ... of the 1s in the selector sequence from state w (bit i = s_i)."""
-    taps, top, t = spec.srs.taps, spec.s_length - 1, 0
-    while True:
-        if w & 1:
-            yield t
-        w = (w >> 1) | (((w & taps).bit_count() & 1) << top)
-        t += 1
-
-
-def _clocked(spec: SgSpec, c: int, ones: Iterable[int]) -> Iterator[int]:
-    """The data state c = c_0 clocked to each offset o in ones, ascending: c_o."""
-    taps, top, at = spec.sra.taps, spec.a_length - 1, 0
-    for o in ones:
-        for _ in range(o - at):
-            c = (c >> 1) | (((c & taps).bit_count() & 1) << top)
-        at = o
-        yield c
+        offsets.append(o)
+    return sum(1 << o for o in offsets if o < s), tuple(offsets)
 
 
 def recover_srs(
@@ -205,35 +189,35 @@ def recover_srs(
     if tuple(d0[n] for n in row_positions(a, s)) != sra.bits:
         raise ValueError("d0 and the recovered data-register state disagree")
     columns, _ = _corner(attack_input)
-    return _offsets(spec, [_solve(spec, v) for v in columns], _state_mask(sra))
+    window = _window(_state_mask(sra), spec._sra_blocks, a, a + 2 * s)
+    w, offsets = _offsets(spec, [_solve(spec, v) for v in columns], window)
+    return LfsrState(f"{w:0{s}b}"[::-1]), offsets
 
 
-def _check_regeneration(spec: SgSpec, c: int, w: int, columns: list[int], solved: list[int],
-                        far: Iterable[tuple[int, int]]) -> None:
-    """Raise at the lowest position where the corner columns or the far (position, bit)
-    pairs disagree with the key: data state c and selector state w (bit i = a_i, s_i).
+def _check_regeneration(spec: SgSpec, window: int, offsets: list[int], columns: list[int],
+                        solved: list[int], far: Iterable[tuple[int, int]]) -> None:
+    """Raise at the lowest position where the corner columns or the far (position, bit) pairs
+    disagree with the key whose c_{o_j} is window >> o_j & (2^A - 1), o_j in offsets (to o_J).
 
     Corner column j matches exactly when solved[j], _solve of its cells
     columns[j], is the key's c_{o_j}: one compare, and only a mismatch reads
     its rows, one parity each.  A far bit is one AND and a parity, plus one
-    jump per row past A - 1.  The selector runs, and the data state is
-    clocked, only as far as the offset o_j of the highest column met.
+    jump per row past A - 1.
     """
-    states, more = [], _clocked(spec, c, _ones(spec, w))  # states[j] = c_{o_j}
-    corner = []
+    mask, shift, corner = (1 << spec.a_length) - 1, spec.s_length - 1, []
     for j, (v, state) in enumerate(zip(columns, solved)):
-        states.append(next(more))
-        if state != states[j]:
-            n = next(n for n, row in enumerate(spec._rows)
-                     if (row & states[j]).bit_count() & 1 != v >> n & 1)
-            corner.append(n << (spec.s_length - 1) | j)
+        key = window >> offsets[j] & mask
+        if state != key:
+            n = next(n for n, row in enumerate(spec._rows) if (row & key).bit_count() & 1 != v >> n & 1)
+            corner.append(n << shift | j)
     lowest = min(corner, default=None)
     if lowest is not None:
         far = takewhile(lambda item: item[0] < lowest, far)
-    for pos, j, bit, row in _cells(spec, far):
-        while len(states) <= j:
-            states.append(next(more))
-        if (row & states[j]).bit_count() & 1 != bit:
+    low, last = (1 << shift) - 1, -1
+    for pos, bit in far:  # one _row per distinct row, ascending
+        if pos >> shift != last:
+            row, last = _row(spec, pos >> shift), pos >> shift
+        if (row << offsets[pos & low] & window).bit_count() & 1 != bit:
             lowest = pos
             break
     if lowest is not None:
@@ -254,28 +238,34 @@ def attack(attack_input: AttackInput) -> AttackResult:
     Needs the A x S top-left IC cells, i.e. keystream positions
     n * 2^(S-1) + j for n < A, j < S.  Each corner column is read once, as
     one A-bit int, and solved to its data state by ceil(A/8) table lookups;
-    the phases and the check compare those states with the clocked data
-    state, one int compare per candidate offset or column.  Any further
-    known bits, at any position, only feed the final check, which reads each
-    from the key by one AND, plus per row past A - 1 one jump of at most
-    ceil(A/4) multiplies, so a far position costs no more than a near one.
+    the phases and the check compare those states with the key's, read off
+    a window of data bits, one int compare per candidate offset or column.
+    Any further known bits, at any position, only feed the final check,
+    which reads each from the key by one AND, plus per row past A - 1 one
+    jump of at most ceil(A/8) - 1 multiplies, so a far position costs no
+    more than a near one.
     """
     spec = attack_input.spec
+    a, s = spec.a_length, spec.s_length
     columns, far = _corner(attack_input)
     solved = [_solve(spec, v) for v in columns]
     with _phase("sra-recovery"):
         c = solved[0]
         if not c:
             raise InconsistentDataError("a genuine column never contains an all-zero window")
-        sra = LfsrState(tuple(c >> i & 1 for i in range(spec.a_length)))
+    # Column J, the highest known, starts at most J * S clocks and one selector period in.
+    cols = 1 << (s - 1)
+    top = cols - 1 if len(far) >= cols else max([s - 1] + [pos & (cols - 1) for pos, _ in far])
+    window = _window(c, spec._sra_blocks, a, a + min(top * s, (1 << s) - 2))
     with _phase("srs-recovery"):
-        srs, offsets = _offsets(spec, solved, c)
+        w, offsets = _offsets(spec, solved, window)
     with _phase("regeneration-check"):
-        _check_regeneration(spec, c, _state_mask(srs), columns, solved, far)
+        _check_regeneration(spec, window, _column_offsets(spec, w, top + 1), columns, solved, far)
     with _phase("column-poly"):
         pd = column_poly(spec)
     # _offsets tries each candidate offset 1 .. o_last once and reads A cells per column
-    work = WorkCounters(comparisons=offsets[-1], column_bits_expanded=spec.a_length * len(offsets))
+    work = WorkCounters(comparisons=offsets[-1], column_bits_expanded=a * len(offsets))
+    sra, srs = (LfsrState(f"{x:0{n}b}"[::-1]) for x, n in ((c, a), (w, s)))
     return AttackResult(sra, srs, offsets, pd, work)
 
 
@@ -286,13 +276,14 @@ def brute_force(attack_input: AttackInput) -> list[ShrinkingKey]:
     mod P_A) & c) = bit in the data state c.  The search fixes the selector
     bits s_1 .. s_(S-1) in turn, 0 before 1 (s_0 = 1): a 1 at s_i makes i
     the offset of the next column, whose known cells join the parent's
-    eliminated system, and a contradiction prunes the branch.  Once the rank
-    reaches A, c is fixed and each further cell costs one AND and a parity
-    on the data state clocked to its offset.  At a leaf, the later offsets
-    follow from the selector state, and every one of the 2^(A - rank)
-    solutions except c = 0 is a key.  Keys come out sorted by their
-    data-state and then selector-state bit strings, so the result is
-    deterministic.  Raises UnsupportedSizeError when (S - 1) + (A - rank)
+    eliminated system (at the root, column 0's top A cells, when all known,
+    give c by the spec's table solve), and a contradiction prunes the branch.
+    Once the rank reaches A, c is fixed and each further cell costs one AND
+    and a parity on the data state clocked to its offset.  At a leaf, the
+    later offsets follow from the selector's block steps, and every one of
+    the 2^(A - rank) solutions except c = 0 is a key.  Keys come out sorted
+    by their data-state and then selector-state bit strings, so the result
+    is deterministic.  Raises UnsupportedSizeError when (S - 1) + (A - rank)
     exceeds BRUTE_FORCE_MAX_BITS - 1 for some consistent selector state.
     """
     spec = attack_input.spec
@@ -302,9 +293,12 @@ def brute_force(attack_input: AttackInput) -> list[ShrinkingKey]:
         raise UnsupportedSizeError(
             f"S - 1 = {s - 1} guessed selector bits exceed the exhaustive-search budget ({budget})"
         )
-    taps, top = spec.sra.taps, a - 1
+    taps, top, last = spec.sra.taps, a - 1, -1
     columns: dict[int, list[tuple[int, int]]] = {}  # j -> (R_n, bit) of its known cells
-    for _, j, bit, row in _cells(spec, attack_input.known.items()):
+    for pos, bit in attack_input.known.items():
+        n, j = divmod(pos, 1 << (s - 1))
+        if n != last:
+            row, last = _row(spec, n), n
         columns.setdefault(j, []).append((row, bit))
     width = max(columns, default=-1) + 1
     shifts = [1]  # x^o mod P_A, grown as far as the offsets reach
@@ -343,7 +337,7 @@ def brute_force(attack_input: AttackInput) -> list[ShrinkingKey]:
     def leaf(node, sel, j):
         """Add the columns at offsets >= S, then collect the solutions."""
         if j < width:  # sel holds the j offsets below S; the later ones follow from it
-            node = add(node, islice(enumerate(_ones(spec, sel)), j, width))
+            node = add(node, islice(enumerate(_column_offsets(spec, sel, width)), j, None))
             if node is None:
                 return
         pivots = node[0]
@@ -373,7 +367,12 @@ def brute_force(attack_input: AttackInput) -> list[ShrinkingKey]:
         if child is not None:
             search(child, i + 1, sel | 1 << i, j + 1)
 
-    root = add(({}, 0, 0), [(0, 0)] if width else [])
+    # Column 0's top A cells, when all known, solve by the spec's tables to a rank-A root.
+    first, root = dict(columns.get(0, ())), ({}, 0, 0)
+    if all(row in first for row in spec._rows):
+        c = _solve(spec, sum(first[row] << n for n, row in enumerate(spec._rows)))
+        root = ({p: (1 << p, c >> p & 1) for p in range(a)}, c, 0)
+    root = add(root, [(0, 0)] if width else [])
     if root is not None:
         search(root, 1, 1, 1)
     return [ShrinkingKey(LfsrState(sra), LfsrState(srs)) for sra, srs in sorted(found)]

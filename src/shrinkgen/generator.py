@@ -15,7 +15,7 @@ from typing import Iterator
 from .errors import InconsistentDataError
 from .gf2 import (BinaryPolynomial, _byte_tables, _inverse, _jump_table, _mulmod, _powers,
                   _xpow, berlekamp_massey, coset_min_poly)
-from .lfsr import BitSequence, LfsrSpec, LfsrState, lfsr_stream
+from .lfsr import BitSequence, LfsrSpec, LfsrState, _block_tables, lfsr_stream
 
 
 def _check_lengths(a: int, s: int) -> None:
@@ -36,8 +36,9 @@ class SgSpec:
     masks R_n = x^(n(2^S - 1)) mod P_A for n < A, the column polynomial P_D,
     the inverse of the column-0 system (R_n, cell (n, 0)) as one table per
     byte of a packed column v (bit n = cell (n, j)), whose entries xor to the
-    data state c_{o_j} in ceil(A/8) lookups, and a jump table on P_A that
-    reads any other row in at most ceil(A/4) multiplies.
+    data state c_{o_j} in ceil(A/8) lookups, a jump table on P_A that reads
+    any other row in at most ceil(A/8) - 1 multiplies, and both registers'
+    block tables (256 clocks a step), shared by every spec on the same polynomial.
     """
 
     pa: BinaryPolynomial
@@ -48,6 +49,8 @@ class SgSpec:
     _pd: BinaryPolynomial = field(init=False, repr=False, compare=False)
     _col0_tables: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _jumps: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _sra_blocks: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _srs_blocks: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a, s = self.pa.degree, self.ps.degree
@@ -60,7 +63,9 @@ class SgSpec:
         pd = coset_min_poly((1 << s) - 1, self.pa)
         tables = _byte_tables(_inverse(rows), a)
         for name, value in (("sra", sra), ("srs", srs), ("_rows", rows), ("_pd", pd),
-                            ("_col0_tables", tables), ("_jumps", _jump_table(m))):
+                            ("_col0_tables", tables), ("_jumps", _jump_table(m)),
+                            ("_sra_blocks", _block_tables(sra.taps, a)),
+                            ("_srs_blocks", _block_tables(srs.taps, s))):
             object.__setattr__(self, name, value)
 
     @property

@@ -31,10 +31,10 @@ FACTOR_DEGREE_CAP = 40
 # the toolkit works at, and low enough that building the mask costs nothing.
 PARSE_DEGREE_CAP = 4096
 
-# Exponent bits per row of a jump table.  Width 4 makes a jump 5-8x faster
-# than _xpow at degrees 12-61 for a table of 2^4 powers per row; width 8
-# jumps up to 1.7x faster again but takes about 7x longer to build.
-_JUMP_BITS = 4
+# Exponent bits per row of a jump table.  Width 8 reads an exponent below 2^L in
+# at most ceil(L/8) - 1 multiplies, and its first row, x^0 .. x^255, is where a
+# register's block tables (lfsr._block_tables) start.
+_JUMP_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -144,22 +144,22 @@ def _xpow(k: int, m: int) -> int:
     return result
 
 
+@lru_cache(maxsize=None)
 def _jump_table(m: int) -> tuple[tuple[int, ...], ...]:
-    """Row i holds x^(d * 16^i) mod m for d < 16, one row per 4-bit digit of a
-    (deg m)-bit exponent: the powers of x that _jump multiplies together."""
-    table, base = [], _mulmod(1, 2, m)  # x^(16^i) mod m
-    for _ in range(-(-(m.bit_length() - 1) // _JUMP_BITS)):
-        row = _powers(base, 1 << _JUMP_BITS, m)
-        table.append(tuple(row))
-        base = _mulmod(row[-1], base, m)
+    """Row i holds x^(d * 256^i) mod m for each digit d that place i of a (deg m)-bit
+    exponent can hold: the powers of x that _jump multiplies together.  Built once per m."""
+    width, table, base = m.bit_length() - 1, [], _mulmod(1, 2, m)  # x^(256^i) mod m
+    for i in range(0, width, _JUMP_BITS):
+        table.append(tuple(_powers(base, 1 << min(_JUMP_BITS, width - i), m)))
+        base = _mulmod(table[-1][-1], base, m)
     return tuple(table)
 
 
 def _jump(table: tuple[tuple[int, ...], ...], k: int, m: int) -> int:
     """x^k mod m for 0 <= k < 2^(deg m), table = _jump_table(m).
 
-    One table entry per nonzero 4-bit digit of k, multiplied together: at
-    most ceil(deg m / 4) multiplies and no squarings.
+    One table entry per nonzero 8-bit digit of k, multiplied together: at
+    most ceil(deg m / 8) - 1 multiplies and no squarings.
     """
     result, i = 1, 0
     while k:
@@ -221,8 +221,9 @@ def _byte_tables(rows: list[int], width: int) -> tuple[tuple[int, ...], ...]:
     the xor of one entry per byte of c: the "Four Russians" tables of
     Arlazarov, Dinic, Kronrod and Faradzev.
     """
-    # Column b of the rows, as an int: the image of bit b alone.
-    columns = [int("".join(col)[::-1], 2) for col in zip(*(f"{r:0{width}b}" for r in rows))][::-1]
+    # Column b (the image of bit b alone) is every width-th binary digit, rows last to first.
+    text = "".join(map(f"{{:0{width}b}}".format, reversed(rows)))
+    columns = [int(text[width - 1 - b::width], 2) for b in range(width)]
     tables = []
     for k in range(0, width, 8):
         table = [0]

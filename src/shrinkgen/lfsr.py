@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
-from .gf2 import BinaryPolynomial, _byte_tables, _mulmod, _powers, poly_is_primitive
+from .gf2 import BinaryPolynomial, _byte_tables, _jump_table, _mulmod, poly_is_primitive
 
 # Clocks per stream step, a multiple of 8.  Each step costs ceil(L/8) table
 # lookups plus the bytes of its output, and each table entry holds
@@ -117,12 +117,12 @@ class LfsrState:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        bits = tuple(int(b) for b in self.bits)
+        bits = tuple(map(int, self.bits))
         if not bits:
             raise ValueError("state must have at least one bit")
-        if any(b not in (0, 1) for b in bits):
+        if bits.count(0) + bits.count(1) != len(bits):
             raise ValueError("state bits must be 0 or 1")
-        if not any(bits):
+        if 1 not in bits:
             raise ValueError("state must not be all-zero")
         object.__setattr__(self, "bits", bits)
 
@@ -131,7 +131,7 @@ class LfsrState:
         s = "".join(text.split())
         if any(ch not in "01" for ch in s):
             raise ValueError("state strings may only contain '0' and '1'")
-        return cls(tuple(int(ch) for ch in s))
+        return cls(s)
 
     @property
     def length(self) -> int:
@@ -161,12 +161,27 @@ def _block_tables(taps: int, length: int) -> tuple[tuple[int, ...], ...]:
     bits, index 0 lowest.  Both are linear in c: output bit u is
     parity((x^u mod P) & c) and bit i of next is parity((x^(_BLOCK_BITS + i)
     mod P) & c), so a state's entry is the XOR of its bytes' entries.  Built
-    on a register's first stream, never with its spec.
+    once per register, with each SgSpec that uses it, or on the first stream
+    of a register no spec holds; x^u for u < 256 is row 0 of P's jump table.
     """
     m = taps | 1 << length
-    powers = _powers(_mulmod(1, 2, m), _BLOCK_BITS + length, m)  # x^u mod P
+    powers = list(_jump_table(m)[0])  # x^u mod P
+    while len(powers) < _BLOCK_BITS + length:
+        powers.append(_mulmod(powers[-1], 2, m))
     rows = powers[_BLOCK_BITS:] + powers[:_BLOCK_BITS]  # row p gives bit p of an entry
     return _byte_tables(rows, length)
+
+
+def _window(reg: int, tables: tuple[tuple[int, ...], ...], length: int, bits: int) -> int:
+    """The output from state reg, whole block steps of at least bits bits, as one int (bit u)."""
+    mask, steps = (1 << length) - 1, []
+    for _ in range(-(-bits // _BLOCK_BITS)):
+        entry = 0
+        for table, d in zip(tables, reg.to_bytes(len(tables), "little")):
+            entry ^= table[d]
+        reg = entry & mask
+        steps.append((entry >> length).to_bytes(_BLOCK_BITS // 8, "little"))
+    return int.from_bytes(b"".join(steps), "little")
 
 
 def _blocks(reg: int, taps: int, length: int) -> Iterator[bytes]:

@@ -54,10 +54,10 @@ from shrinkgen import (
     shrink,
     shrunken_period,
 )
-from shrinkgen.attack import _cells, _check_regeneration, _clocked, _corner, _solve
+from shrinkgen.attack import _check_regeneration, _column_offsets, _corner, _row, _solve
 from shrinkgen import gf2
 from shrinkgen.gf2 import _inverse, _powers, _xpow
-from shrinkgen.lfsr import _block_tables
+from shrinkgen.lfsr import _block_tables, _window
 
 
 class TestColumnPoly:
@@ -212,7 +212,8 @@ class TestAttack:
         assert result.work.comparisons == 0
 
     def test_builds_no_block_tables(self):
-        # the selector walk is inline, so neither search streams a register
+        # both searches run the registers' block steps on the tables their spec holds, so
+        # neither builds a block or jump table, or looks one up in the shared caches
         rng = random.Random(113)
         inputs = []
         for a, s in [(12, 7), (8, 3)]:
@@ -220,11 +221,12 @@ class TestAttack:
             key = random_key(rng, spec, s0=1)
             inputs.append((AttackInput(spec, KnownBits.from_prefix(shrink(spec, key, 1000))), key))
         _block_tables.cache_clear()
+        gf2._jump_table.cache_clear()
         for attack_input, key in inputs:
             result = attack(attack_input)
             assert ShrinkingKey(result.sra_state, result.srs_state) == key
         assert key in brute_force(inputs[-1][0])
-        assert _block_tables.cache_info().currsize == 0
+        assert _block_tables.cache_info().currsize == gf2._jump_table.cache_info().currsize == 0
 
     def test_insufficient_input_refused(self, kat_spec, kat_known):
         partial = KnownBits({p: b for p, b in kat_known.items() if p != 19})
@@ -379,11 +381,19 @@ def ic_identity_bit(spec, key, pos):
     return sum(c & b for c, b in zip(power, key.sra_state.bits)) % 2
 
 
+def data_window(spec, key, bits):
+    """The key's data bits a_0 .. a_{bits-1} as one int, bit u = a_u, by `oracles.lfsr_run`."""
+    pa = oracles.mask_to_list(spec.pa.mask)
+    return oracles.list_to_mask(oracles.lfsr_run(pa, list(key.sra_state.bits), bits))
+
+
 def check_regeneration(spec, key, known):
-    """_check_regeneration of the key against known bits that hold the whole corner."""
+    """_check_regeneration of the key against known bits that hold the whole corner; the
+    key's offsets and data bits come from the list oracles."""
     columns, far = _corner(AttackInput(spec, known))
-    c, w = (oracles.list_to_mask(state.bits) for state in (key.sra_state, key.srs_state))
-    _check_regeneration(spec, c, w, columns, [_solve(spec, v) for v in columns], far)
+    offsets = selector_ones(spec, key)
+    window = data_window(spec, key, offsets[-1] + spec.a_length)
+    _check_regeneration(spec, window, offsets, columns, [_solve(spec, v) for v in columns], far)
 
 
 class TestRegenerationCheck:
@@ -459,8 +469,9 @@ class TestRegenerationCheck:
 
 
 def state_per_column(spec, key, ones):
-    """c_{o_j} for each o_j in ones: the key's data state clocked o_j times."""
-    return list(_clocked(spec, oracles.list_to_mask(key.sra_state.bits), ones))
+    """c_{o_j} for each o_j in ones: the key's data bits a_{o_j} .. a_{o_j + A - 1}, by oracles."""
+    window = data_window(spec, key, max(ones) + spec.a_length)
+    return [window >> o & ((1 << spec.a_length) - 1) for o in ones]
 
 
 class TestReader:
@@ -477,12 +488,11 @@ class TestReader:
             ones = selector_ones(spec, key)
             offsets = tuple(o - ones[0] for o in ones)
             states = state_per_column(spec, key, ones)
-            cells = list(_cells(spec, KnownBits.from_prefix(z).items()))
-            assert len(cells) == len(z)
-            for pos, j, bit, row in cells:
-                n = pos >> (s - 1)
+            for pos, bit in enumerate(z):
+                n, j = divmod(pos, 1 << (s - 1))
                 t = ones[0] + ic_source_index(n, j, offsets, a, s)
-                assert (row & states[j]).bit_count() & 1 == bit == a_seq[t % len(a_seq)], (s0, pos)
+                cell = (_row(spec, n) & states[j]).bit_count() & 1
+                assert cell == bit == a_seq[t % len(a_seq)], (s0, pos)
 
     @pytest.mark.parametrize("a,s", [(21, 5), (31, 3)])
     def test_sampled_cells(self, a, s):
@@ -498,9 +508,11 @@ class TestReader:
             offsets = tuple(o - ones[0] for o in ones)
             states = state_per_column(spec, key, ones)
             positions = sorted({p + d for p in rng.sample(range(4096 - cols), 48) for d in (0, cols)})
-            for pos, j, bit, row in _cells(spec, ((p, z[p]) for p in positions)):
-                t = ones[0] + ic_source_index(pos // cols, j, offsets, a, s)
-                assert (row & states[j]).bit_count() & 1 == bit == a_seq[t], (s0, pos)
+            for pos in positions:
+                n, j = divmod(pos, cols)
+                t = ones[0] + ic_source_index(n, j, offsets, a, s)
+                cell = (_row(spec, n) & states[j]).bit_count() & 1
+                assert cell == z[pos] == a_seq[t], (s0, pos)
 
 
     @pytest.mark.parametrize("a,s", [(21, 5), (31, 3)])
@@ -508,18 +520,17 @@ class TestReader:
         # rows up to 10^12, far apart or right below the row before, each read by one jump
         rng = random.Random(157 * a + s)
         spec = make_spec(a, s)
-        ratio, period, cols = (1 << s) - 1, (1 << a) - 1, 1 << (s - 1)
+        ratio, period = (1 << s) - 1, (1 << a) - 1
         rows = {n + d for n in (rng.randrange(10**12) for _ in range(200)) for d in (0, 1)}
         rows |= {0, a - 1, a, a + 1, 10**12}
-        known = [(n * cols + rng.randrange(cols), 0) for n in sorted(rows)]
-        for pos, _, _, row in _cells(spec, known):
-            n = pos // cols
-            assert row == _xpow(n * ratio % period, spec.pa.mask), n
+        for n in sorted(rows):
+            assert _row(spec, n) == _xpow(n * ratio % period, spec.pa.mask), n
 
     @pytest.mark.parametrize("a,s", [(12, 7), (21, 5), (31, 3)])
     def test_far_row_costs_at_most_a_quarter_a_multiplies(self, monkeypatch, a, s):
         # counts multiplies, not time: an attack on the corner plus one known bit in a far
-        # row and one in the row right below it reads each of the two rows by one jump
+        # row and one in the row right below it reads each of the two rows by one jump of
+        # at most ceil(A/8) - 1 multiplies, one per nonzero 8-bit digit past the first
         calls, mulmod = [], gf2._mulmod
 
         def counted(u, v, m):
@@ -541,7 +552,61 @@ class TestReader:
             result = attack(AttackInput(spec, KnownBits(known)))
             assert ShrinkingKey(result.sra_state, result.srs_state) == key
             counts.append(len(calls))
-        assert 0 < max(counts) <= 2 * -(-a // 4), counts
+        assert 0 < max(counts) <= 2 * (-(-a // 8) - 1), counts
+
+    @pytest.mark.parametrize("bits", [2568, 6000])
+    def test_dense_prefix_costs_one_jump_per_row(self, monkeypatch, bits):
+        # A contiguous (21,8) prefix: 2,568 bits end on the corner's last cell, so every row
+        # sits below A and nothing jumps, while 6,000 bits reach row 46.  Each distinct row
+        # at or past A costs one jump of at most ceil(21/8) - 1 = 2 multiplies, not one per cell.
+        spec = make_spec(21, 8)
+        key = random_key(random.Random(211 + bits), spec, s0=1)
+        known = KnownBits.from_prefix(shrink(spec, key, bits))
+        module = importlib.import_module("shrinkgen.attack")
+        jumps, calls, jump, mulmod = [], [], module._jump, gf2._mulmod
+
+        def counted_jump(table, k, m):
+            jumps.append(k)
+            return jump(table, k, m)
+
+        def counted(u, v, m):
+            calls.append(m)
+            return mulmod(u, v, m)
+
+        monkeypatch.setattr(module, "_jump", counted_jump)
+        monkeypatch.setattr(gf2, "_mulmod", counted)
+        result = attack(AttackInput(spec, known))
+        assert ShrinkingKey(result.sra_state, result.srs_state) == key
+        rows = {p >> 7 for p in range(bits)} - set(range(21))
+        assert len(jumps) == len(rows) == max(0, -(-bits // 128) - 21)
+        assert len(calls) <= 2 * len(rows), (len(calls), len(rows))
+
+
+class TestBlockReads:
+    @pytest.mark.parametrize("a,s", [(5, 4), (12, 7), (21, 8), (31, 5)])
+    def test_window_holds_the_data_bits(self, a, s):
+        # the data bits from a state, one block step per 256 bits, across block boundaries
+        rng = random.Random(223 * a + s)
+        spec = make_spec(a, s)
+        for bits in (1, a, 255, 256, 257, 600):
+            key = random_key(rng, spec)
+            window = _window(oracles.list_to_mask(key.sra_state.bits), spec._sra_blocks, a, bits)
+            assert window & ((1 << bits) - 1) == data_window(spec, key, bits), bits
+            assert window.bit_length() <= -(-bits // 256) * 256
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 7, 8, 10])
+    def test_column_offsets_are_the_selector_ones(self, s):
+        # the first 1, S of them and all 2^(S-1) of one period, which spans four block
+        # steps at S = 10, from every selector state, or 64 of them at S = 10
+        spec = make_spec(11, s)
+        ps = oracles.mask_to_list(spec.ps.mask)
+        states = range(1, 1 << s) if s < 10 else random.Random(233).sample(range(1, 1 << s), 64)
+        for w in states:
+            state = [w >> i & 1 for i in range(s)]
+            ones = oracles.one_positions(oracles.lfsr_run(ps, state, (1 << s) - 1))
+            assert len(ones) == 1 << (s - 1)
+            for columns in (1, s, len(ones)):
+                assert _column_offsets(spec, w, columns) == ones[:columns], (w, columns)
 
 
 TABLE_SIZES = [(a, s) for a in range(2, 13) for s in range(1, a) if gcd(a, s) == 1]
@@ -561,9 +626,10 @@ class TestSpecTables:
     @pytest.mark.parametrize("a,s", TABLE_SIZES)
     def test_jump_table(self, a, s):
         spec = make_spec(a, s)
-        assert len(spec._jumps) == -(-a // 4)
+        # one row per 8-bit place of an A-bit exponent, as long as the digits that place holds
+        assert len(spec._jumps) == -(-a // 8)
         for i, row in enumerate(spec._jumps):
-            assert row == tuple(_xpow(d << 4 * i, spec.pa.mask) for d in range(16))
+            assert row == tuple(_xpow(d << 8 * i, spec.pa.mask) for d in range(1 << min(8, a - 8 * i)))
 
     @pytest.mark.parametrize("a,s", TABLE_SIZES)
     def test_inverse_rows_read_the_strategic_cells(self, a, s):
@@ -610,19 +676,34 @@ class TestSpecTables:
 
     @pytest.mark.parametrize("a,s", [(5, 4), (12, 7), (21, 8), (31, 5)])
     def test_tables_built_with_the_spec(self, a, s):
-        # nothing is built on the first attack: it peaks no higher than the second one
-        rng = random.Random(181 * a + s)
-        spec = SgSpec(primitive(a), primitive(s))
-        known = submatrix_known(spec, random_key(rng, spec, s0=1))
+        # Nothing is built on the first attack: it peaks no higher than the second one, on
+        # a corner plus far bits in the highest column, whose offset and data bits come from
+        # block steps, in a row below A and in a row past it, read by a jump.  An attack at
+        # (7,3) first runs every code path once, and the shared table caches are emptied
+        # once the input is made, so a table built on first use would show in the peak.
+        # Peaks of repeated calls still drift by up to about 100 bytes, and the smallest
+        # table here, the 32 powers of x mod P_5, takes 296.
+        def corner_and_far(spec):
+            a, s = spec.a_length, spec.s_length
+            key = random_key(random.Random(181 * a + s), spec, s0=1)
+            known, top = dict(submatrix_known(spec, key).items()), (1 << (s - 1)) - 1
+            for n in (a - 1, a + 7):
+                known[n << (s - 1) | top] = ic_identity_bit(spec, key, n << (s - 1) | top)
+            return AttackInput(spec, KnownBits(known))
+
+        attack(corner_and_far(make_spec(7, 3)))
+        attack_input = corner_and_far(SgSpec(primitive(a), primitive(s)))
+        _block_tables.cache_clear()
+        gf2._jump_table.cache_clear()
         peaks = []
         for _ in range(2):
             tracemalloc.start()
             try:
-                attack(AttackInput(spec, known))
+                attack(attack_input)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] <= peaks[1], peaks
+        assert peaks[0] <= peaks[1] + 256, peaks
 
 
 COLUMN_STATE_SIZES = [(5, 4), (8, 3), (12, 7), (21, 8), (31, 5)]
@@ -901,6 +982,30 @@ class TestBruteForce:
             for p in sorted(known):
                 flipped = AttackInput(spec, KnownBits({q: b ^ (q == p) for q, b in known.items()}))
                 assert brute_force(flipped) == oracle_keys(flipped), p
+
+    @pytest.mark.parametrize("a,s", [(5, 4), (8, 3), (10, 3)])
+    def test_seeded_root_matches_exhaustive_search(self, monkeypatch, a, s):
+        # With column 0's top A cells known, the root is their table solve, of rank A, so
+        # nothing is eliminated; whole corners and one-flip corners give the exhaustive
+        # search's keys in its order.
+        module = importlib.import_module("shrinkgen.attack")
+        eliminated, eliminate = [], module._eliminate
+
+        def counted(rows, pivots=None):
+            eliminated.append(pivots)
+            return eliminate(rows, pivots)
+
+        monkeypatch.setattr(module, "_eliminate", counted)
+        rng = random.Random(227 * a + s)
+        spec = make_spec(a, s)
+        for _ in range(2):
+            known = dict(submatrix_known(spec, random_key(rng, spec)).items())
+            whole = AttackInput(spec, KnownBits(known))
+            assert brute_force(whole) == oracle_keys(whole)
+            for p in rng.sample(sorted(known), 5):
+                flipped = AttackInput(spec, KnownBits({q: b ^ (q == p) for q, b in known.items()}))
+                assert brute_force(flipped) == oracle_keys(flipped), p
+        assert eliminated == []
 
     def test_budget_counts_free_bits_after_solving(self):
         # nine column-0 cells at (31,3) have rank 9, leaving 2 selector bits plus 22 free data bits

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import (
     KAT_PA,
     KAT_PS,
@@ -27,10 +28,12 @@ from conftest import (
 )
 from shrinkgen import (
     PARSE_DEGREE_CAP,
+    AttackInput,
     BinaryPolynomial,
     KnownBits,
     LfsrState,
     ShrinkingKey,
+    attack,
     build_ic,
     shrink,
     shrunken_period,
@@ -220,6 +223,37 @@ class TestAttackVerb:
         _, first, _ = invoke(capsys, "attack", "--pa", KAT_PA, "--ps", KAT_PS, "--known", known_file)
         _, second, _ = invoke(capsys, "attack", "--pa", KAT_PA, "--ps", KAT_PS, "--known", known_file)
         assert first == second
+
+    @pytest.mark.parametrize("a,s", [(5, 4), (12, 7), (21, 8)])
+    def test_far_bits_in_every_column_named_as_a_walk_names_them(self, capsys, tmp_path, a, s):
+        # One far bit in each column j < 2^(S-1), in rows up to 3A, and 0-3 flips mixed
+        # across the far cells and the corner cells the final check reads (columns past
+        # phase two's): with no flip the key comes back, and otherwise exit 2 names the
+        # lowest flipped position, the one a per-cell walk of both registers names too.
+        rng = random.Random(229 * a + s)
+        spec, cols, path = make_spec(a, s), 1 << (s - 1), tmp_path / "known.txt"
+        pa, ps = (oracles.mask_to_list(p.mask) for p in (spec.pa, spec.ps))
+        for flips in (0, 1, 2, 3, 1, 2, 3):
+            key = random_key(rng, spec, s0=1)
+            corner = dict(submatrix_known(spec, key).items())
+            checked = len(attack(AttackInput(spec, KnownBits(corner))).offsets)
+            far = [rng.randrange(a if j < s else 0, 3 * a) * cols + j for j in range(cols)]
+            z = shrink(spec, key, max(far) + 1)
+            known = {**corner, **{p: z[p] for p in far}}
+            flipped = rng.sample(far + [p for p in corner if p % cols >= checked], flips)
+            for p in flipped:
+                known[p] ^= 1
+            path.write_text("".join(f"{p} {known[p]}\n" for p in sorted(known)))
+            code, out, err = invoke(capsys, "attack", "--pa", str(spec.pa), "--ps", str(spec.ps),
+                                    "--known", str(path))
+            walk = oracles.first_disagreement(pa, ps, key.sra_state.bits, key.srs_state.bits, known)
+            assert walk == min(flipped, default=None)
+            if not flipped:
+                assert (code, out.splitlines()[:2], err) == (
+                    0, [f"sra_state={key.sra_state}", f"srs_state={key.srs_state}"], "")
+            else:
+                assert (code, err) == (2, "error: regeneration-check: recovered key disagrees "
+                                          f"with the known bit at position {walk}\n")
 
 
 @lru_cache(maxsize=None)

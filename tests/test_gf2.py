@@ -127,7 +127,7 @@ class TestJump:
     def test_every_exponent_of_a_period(self, a):
         m = primitive(a).mask
         table = _jump_table(m)
-        assert len(table) == -(-a // 4)
+        assert len(table) == -(-a // 8)
         assert all(_jump(table, k, m) == _xpow(k, m) for k in range((1 << a) - 1))
 
     @pytest.mark.parametrize("a", [21, 31])

@@ -77,6 +77,25 @@ class TestLfsrState:
     def test_str_lists_each_bit(self, bits):
         assert str(LfsrState(tuple(bits))) == "".join("01"[b] for b in bits)
 
+    @given(st.lists(st.integers(-1, 2) | st.booleans() | st.sampled_from(["0", "1", "2", 1.0]),
+                    max_size=8) | st.text("012", max_size=8))
+    def test_validation_accepts_and_rejects_as_a_per_bit_check(self, bits):
+        # the same inputs pass, with the same bits and the same first message, as under
+        # a check of one bit at a time
+        try:
+            ints = tuple(int(b) for b in bits)
+            if not ints:
+                raise ValueError("state must have at least one bit")
+            if any(b not in (0, 1) for b in ints):
+                raise ValueError("state bits must be 0 or 1")
+            if not any(ints):
+                raise ValueError("state must not be all-zero")
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                LfsrState(bits)
+        else:
+            assert LfsrState(bits).bits == ints
+
     def test_parse(self):
         assert LfsrState.parse("10011").bits == (1, 0, 0, 1, 1)
         with pytest.raises(ValueError):
