@@ -32,8 +32,8 @@ FACTOR_DEGREE_CAP = 40
 PARSE_DEGREE_CAP = 4096
 
 # Exponent bits per row of a jump table.  Width 8 reads an exponent below 2^L in
-# at most ceil(L/8) - 1 multiplies, and its first row, x^0 .. x^255, is where a
-# register's block tables (lfsr._block_tables) start.
+# at most ceil(L/8) - 1 multiplies, against ceil(L/4) - 1 at width 4, for a table
+# that takes about 7x longer to build and is built once per polynomial.
 _JUMP_BITS = 8
 
 
@@ -221,7 +221,8 @@ def _byte_tables(rows: list[int], width: int) -> tuple[tuple[int, ...], ...]:
     the xor of one entry per byte of c: the "Four Russians" tables of
     Arlazarov, Dinic, Kronrod and Faradzev.
     """
-    # Column b (the image of bit b alone) is every width-th binary digit, rows last to first.
+    # Column b (the image of bit b alone) is every width-th binary digit, rows last to first;
+    # each row must be below 2^width, or its digits would shift every column after it.
     text = "".join(map(f"{{:0{width}b}}".format, reversed(rows)))
     columns = [int(text[width - 1 - b::width], 2) for b in range(width)]
     tables = []

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
-from .gf2 import BinaryPolynomial, _byte_tables, _jump_table, _mulmod, poly_is_primitive
+from .gf2 import BinaryPolynomial, _byte_tables, _mulmod, _powers, poly_is_primitive
 
 # Clocks per stream step, a multiple of 8.  Each step costs ceil(L/8) table
 # lookups plus the bytes of its output, and each table entry holds
@@ -162,38 +162,37 @@ def _block_tables(taps: int, length: int) -> tuple[tuple[int, ...], ...]:
     parity((x^u mod P) & c) and bit i of next is parity((x^(_BLOCK_BITS + i)
     mod P) & c), so a state's entry is the XOR of its bytes' entries.  Built
     once per register, with each SgSpec that uses it, or on the first stream
-    of a register no spec holds; x^u for u < 256 is row 0 of P's jump table.
+    of a register no spec holds.
     """
     m = taps | 1 << length
-    powers = list(_jump_table(m)[0])  # x^u mod P
-    while len(powers) < _BLOCK_BITS + length:
-        powers.append(_mulmod(powers[-1], 2, m))
+    powers = _powers(_mulmod(1, 2, m), _BLOCK_BITS + length, m)  # x^u mod P
     rows = powers[_BLOCK_BITS:] + powers[:_BLOCK_BITS]  # row p gives bit p of an entry
     return _byte_tables(rows, length)
 
 
+def _step(reg: int, tables: tuple[tuple[int, ...], ...], length: int) -> tuple[int, bytes]:
+    """reg clocked _BLOCK_BITS times and those clocks' output bits as bytes, one lookup per byte."""
+    entry = 0
+    for table, d in zip(tables, reg.to_bytes(len(tables), "little")):
+        entry ^= table[d]
+    return entry & ((1 << length) - 1), (entry >> length).to_bytes(_BLOCK_BITS // 8, "little")
+
+
 def _window(reg: int, tables: tuple[tuple[int, ...], ...], length: int, bits: int) -> int:
     """The output from state reg, whole block steps of at least bits bits, as one int (bit u)."""
-    mask, steps = (1 << length) - 1, []
+    steps = []
     for _ in range(-(-bits // _BLOCK_BITS)):
-        entry = 0
-        for table, d in zip(tables, reg.to_bytes(len(tables), "little")):
-            entry ^= table[d]
-        reg = entry & mask
-        steps.append((entry >> length).to_bytes(_BLOCK_BITS // 8, "little"))
+        reg, out = _step(reg, tables, length)
+        steps.append(out)
     return int.from_bytes(b"".join(steps), "little")
 
 
 def _blocks(reg: int, taps: int, length: int) -> Iterator[bytes]:
     """The output from state reg, _BLOCK_BITS bits per block as 0/1 bytes."""
     tables = _block_tables(taps, length)
-    mask = (1 << length) - 1
     while True:
-        entry = 0
-        for table, d in zip(tables, reg.to_bytes(len(tables), "little")):
-            entry ^= table[d]
-        reg = entry & mask
-        yield b"".join(map(_EXPAND.__getitem__, (entry >> length).to_bytes(_BLOCK_BITS // 8, "little")))
+        reg, out = _step(reg, tables, length)
+        yield b"".join(map(_EXPAND.__getitem__, out))
 
 
 def lfsr_generate(spec: LfsrSpec, state: LfsrState, n: int) -> BitSequence:
