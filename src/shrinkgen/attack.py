@@ -7,7 +7,7 @@ R_n = x^(n(2^S - 1)) mod P_A and c_o is the data state clocked o times.
 Everything that depends only on the public polynomials is built once, with
 the SgSpec: the masks R_0 .. R_{A-1}, the column polynomial P_D, the inverse
 of the A column-0 equations as one table per byte of a column, a jump table
-on P_A that gives any other R_n in at most ceil(A/8) - 1 multiplies, and
+on P_A: any other row is at most ceil(A/8) - 2 multiplies and a shift, and
 both registers' block tables.  One pass over the known bits packs each
 corner column j into an A-bit int v_j (bit n = cell (n, j)), and ceil(A/8)
 table lookups turn v_j into its data state c_{o_j}.  Phase one solves
@@ -26,13 +26,12 @@ generates the same keystream.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress, count, islice, takewhile
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import InconsistentDataError, InsufficientInputError, UnsupportedSizeError
-from .gf2 import BinaryPolynomial, _eliminate, _jump, _mulmod, mod_inverse
+from .gf2 import _JUMP_BITS, BinaryPolynomial, _eliminate, _jump, _mulmod, mod_inverse
 from .generator import SgSpec, ShrinkingKey, column_poly
 from .interleaved import KnownBits
 from .lfsr import BitSequence, LfsrSpec, LfsrState, _state_mask, _window, lfsr_generate
@@ -99,20 +98,24 @@ def extend_column(colbits, pd: BinaryPolynomial) -> BitSequence:
     return lfsr_generate(spec, LfsrState(bits), spec.period)
 
 
-def _row(spec: SgSpec, n: int) -> int:
-    """R_n = x^(n(2^S - 1)) mod P_A, the mask of IC row n.
+def _row_reader(spec: SgSpec) -> Callable[[int], tuple[int, int]]:
+    """n -> (M, r), r < 256, with IC row n's mask R_n = x^(n(2^S - 1)) mod P_A = M * x^r mod P_A.
 
-    Data bit o + u is parity((x^u mod P_A) & c_o), c_o the data state (bit i
-    = a_{o+i}) clocked o times, and cell (n, j) is data bit n(2^S - 1) + o_j,
-    so cell (n, j) = parity(R_n & c_{o_j}); as an equation in an unknown data
-    state c, it has the mask R_n * x^(o_j) mod P_A.  Rows below A come from
-    the spec's row table; any other row is one jump through the spec's jump
-    table: at most ceil(A/8) - 1 multiplies, no squarings.  R_n is periodic
-    in n, so positions past one keystream period read as well.
+    Cell (n, j), data bit n(2^S - 1) + o_j, is parity(R_n & c_{o_j}) = parity(M & c_{o_j + r}),
+    c_o the data state (bit i = a_{o+i}) clocked o times: parity((M << (r + o_j)) & w) off a
+    data window w (bit u = a_u).  Rows below A are the spec's, with r = 0.  Any other splits
+    n(2^S - 1) mod (2^A - 1) into 256q + r; M = x^(256q) is a jump of <= ceil(A/8) - 2 multiplies.
     """
-    if n < len(spec._rows):
-        return spec._rows[n]
-    return _jump(spec._jumps, n * ((1 << spec.s_length) - 1) % spec.sra.period, spec.pa.mask)
+    rows, jumps, m = spec._rows, spec._jumps[1:], spec.pa.mask
+    a, step, period = len(rows), (1 << spec.s_length) - 1, (1 << len(rows)) - 1
+
+    def row(n: int) -> tuple[int, int]:
+        if n < a:
+            return rows[n], 0
+        q, r = divmod(n * step % period, 1 << _JUMP_BITS)
+        return _jump(jumps, q, m), r
+
+    return row
 
 
 def _corner(attack_input: AttackInput) -> tuple[list[int], list[tuple[int, int]]]:
@@ -197,12 +200,12 @@ def recover_srs(
 def _check_regeneration(spec: SgSpec, window: int, offsets: list[int], columns: list[int],
                         solved: list[int], far: Iterable[tuple[int, int]]) -> None:
     """Raise at the lowest position where the corner columns or the far (position, bit) pairs
-    disagree with the key whose c_{o_j} is window >> o_j & (2^A - 1), o_j in offsets (to o_J).
+    disagree with the key whose data bits a_u are bit u of window, o_j in offsets (to o_J).
 
-    Corner column j matches exactly when solved[j], _solve of its cells
-    columns[j], is the key's c_{o_j}: one compare, and only a mismatch reads
-    its rows, one parity each.  A far bit is one AND and a parity, plus one
-    jump per row past A - 1.
+    Corner column j matches exactly when solved[j], _solve of its cells columns[j], is the
+    key's c_{o_j} = window >> o_j & (2^A - 1): one compare, and only a mismatch reads its rows,
+    one parity each.  A far bit is one shift, AND and parity, plus one jump per row past
+    A - 1, whose bits the window must hold up to a_{o_J + A + 254}.
     """
     mask, shift, corner = (1 << spec.a_length) - 1, spec.s_length - 1, []
     for j, (v, state) in enumerate(zip(columns, solved)):
@@ -213,23 +216,16 @@ def _check_regeneration(spec: SgSpec, window: int, offsets: list[int], columns: 
     lowest = min(corner, default=None)
     if lowest is not None:
         far = takewhile(lambda item: item[0] < lowest, far)
-    low, last = (1 << shift) - 1, -1
-    for pos, bit in far:  # one _row per distinct row, ascending
+    row_of, low, last = _row_reader(spec), (1 << shift) - 1, -1
+    for pos, bit in far:  # one row read per distinct row, ascending
         if pos >> shift != last:
-            row, last = _row(spec, pos >> shift), pos >> shift
-        if (row << offsets[pos & low] & window).bit_count() & 1 != bit:
+            last = pos >> shift
+            row, r = row_of(last)
+        if (row << (r + offsets[pos & low]) & window).bit_count() & 1 != bit:
             lowest = pos
             break
     if lowest is not None:
         raise InconsistentDataError(f"recovered key disagrees with the known bit at position {lowest}")
-
-
-@contextmanager
-def _phase(label: str):
-    try:
-        yield
-    except (ValueError, InconsistentDataError, InsufficientInputError) as exc:
-        raise type(exc)(f"{label}: {exc}") from exc
 
 
 def attack(attack_input: AttackInput) -> AttackResult:
@@ -241,32 +237,35 @@ def attack(attack_input: AttackInput) -> AttackResult:
     the phases and the check compare those states with the key's, read off
     a window of data bits, one int compare per candidate offset or column.
     Any further known bits, at any position, only feed the final check,
-    which reads each from the key by one AND, plus per row past A - 1 one
-    jump of at most ceil(A/8) - 1 multiplies, so a far position costs no
-    more than a near one.
+    which reads each from the key by one shift and AND, plus per row past
+    A - 1 one jump of at most ceil(A/8) - 2 multiplies, so a far position
+    costs no more than a near one.  A failure keeps its type and gains its
+    step's label: sra-recovery, srs-recovery or regeneration-check.
     """
     spec = attack_input.spec
     a, s = spec.a_length, spec.s_length
     columns, far = _corner(attack_input)
     solved = [_solve(spec, v) for v in columns]
-    with _phase("sra-recovery"):
-        c = solved[0]
+    c, label = solved[0], "sra-recovery"
+    try:
         if not c:
             raise InconsistentDataError("a genuine column never contains an all-zero window")
-    # Column J, the highest known, starts at most J * S clocks and one selector period in.
-    cols = 1 << (s - 1)
-    top = cols - 1 if len(far) >= cols else max([s - 1] + [pos & (cols - 1) for pos, _ in far])
-    window = _window(c, spec._sra_blocks, a, a + min(top * s, (1 << s) - 2))
-    with _phase("srs-recovery"):
+        # Column J, the highest known, starts by min(J * S, 2^S - 2); far rows read r <= 255 more.
+        cols = 1 << (s - 1)
+        top = cols - 1 if len(far) >= cols else max([s - 1] + [pos & (cols - 1) for pos, _ in far])
+        reach = (1 << _JUMP_BITS) - 1 if far and far[-1][0] >> (s - 1) >= a else 0
+        window = _window(c, spec._sra_blocks, a, a + min(top * s, (1 << s) - 2) + reach)
+        label = "srs-recovery"
         w, offsets = _offsets(spec, solved, window)
-    with _phase("regeneration-check"):
+        label = "regeneration-check"
         _check_regeneration(spec, window, _column_offsets(spec, w, top + 1), columns, solved, far)
-    with _phase("column-poly"):
-        pd = column_poly(spec)
+    except (ValueError, InconsistentDataError, InsufficientInputError) as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
+    del far, window, columns, solved  # freed first, so the result is built at a lower peak
     # _offsets tries each candidate offset 1 .. o_last once and reads A cells per column
     work = WorkCounters(comparisons=offsets[-1], column_bits_expanded=a * len(offsets))
     sra, srs = (LfsrState(f"{x:0{n}b}"[::-1]) for x, n in ((c, a), (w, s)))
-    return AttackResult(sra, srs, offsets, pd, work)
+    return AttackResult(sra, srs, offsets, column_poly(spec), work)
 
 
 def brute_force(attack_input: AttackInput) -> list[ShrinkingKey]:
@@ -293,12 +292,13 @@ def brute_force(attack_input: AttackInput) -> list[ShrinkingKey]:
         raise UnsupportedSizeError(
             f"S - 1 = {s - 1} guessed selector bits exceed the exhaustive-search budget ({budget})"
         )
-    taps, top, last = spec.sra.taps, a - 1, -1
+    taps, top, last, row_of = spec.sra.taps, a - 1, -1, _row_reader(spec)
     columns: dict[int, list[tuple[int, int]]] = {}  # j -> (R_n, bit) of its known cells
     for pos, bit in attack_input.known.items():
         n, j = divmod(pos, 1 << (s - 1))
         if n != last:
-            row, last = _row(spec, n), n
+            (row, r), last = row_of(n), n
+            row = _mulmod(row, spec._jumps[0][r], m) if r else row  # R_n = M * x^r
         columns.setdefault(j, []).append((row, bit))
     width = max(columns, default=-1) + 1
     shifts = [1]  # x^o mod P_A, grown as far as the offsets reach

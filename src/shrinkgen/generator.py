@@ -37,8 +37,8 @@ class SgSpec:
     the inverse of the column-0 system (R_n, cell (n, 0)) as one table per
     byte of a packed column v (bit n = cell (n, j)), whose entries xor to the
     data state c_{o_j} in ceil(A/8) lookups, a jump table on P_A that reads
-    any other row in at most ceil(A/8) - 1 multiplies, and both registers'
-    block tables (256 clocks a step), shared by every spec on the same polynomial.
+    any other row in at most ceil(A/8) - 2 multiplies and a shift, and both
+    registers' block tables (256 clocks a step), shared by every spec on the same polynomial.
     """
 
     pa: BinaryPolynomial
