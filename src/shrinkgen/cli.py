@@ -27,8 +27,8 @@ from .gf2 import BinaryPolynomial, coset_min_poly
 from .interleaved import KnownBits, build_ic
 from .lfsr import BitSequence, LfsrState, _bit_text
 
-# gen writes the keystream in chunks of this many bits, so its memory does not grow with --n.
-_GEN_CHUNK_BITS = 1 << 16
+# gen writes the keystream in chunks of this many block pairs, so its memory does not grow with --n.
+_GEN_CHUNK_BLOCKS = 256
 
 
 class _UsageError(Exception):
@@ -132,9 +132,10 @@ def _known_from(args, spec: SgSpec, submatrix_only: bool) -> KnownBits:
 
 
 def _cmd_gen(args) -> None:
-    bits = _keystream(_spec_from(args), _key_from(args), args.n)
-    for _ in range(0, args.n, _GEN_CHUNK_BITS):  # no chunk outlives its print
-        print(_bit_text(islice(bits, _GEN_CHUNK_BITS)), end="")
+    blocks = _keystream(_spec_from(args), _key_from(args), args.n)
+    while chunk := b"".join(islice(blocks, _GEN_CHUNK_BLOCKS)):
+        print(_bit_text(chunk), end="")
+        del chunk  # no chunk outlives its print
     print()
 
 

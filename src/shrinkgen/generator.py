@@ -8,14 +8,14 @@ interval (A * 2^(S-2), A * 2^(S-1)], and the characteristic polynomial P_D^p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress
 from math import gcd
 from typing import Iterator
 
 from .errors import InconsistentDataError
 from .gf2 import (BinaryPolynomial, _byte_tables, _inverse, _jump_table, _mulmod, _powers,
                   _xpow, berlekamp_massey, coset_min_poly)
-from .lfsr import BitSequence, LfsrSpec, LfsrState, _block_tables, lfsr_stream
+from .lfsr import BitSequence, LfsrSpec, LfsrState, _block_tables, _blocks, _state_mask
 
 
 def _check_lengths(a: int, s: int) -> None:
@@ -90,21 +90,26 @@ def column_poly(spec: SgSpec) -> BinaryPolynomial:
     return spec._pd
 
 
-def _keystream(spec: SgSpec, key: ShrinkingKey, n: int) -> Iterator[int]:
-    """First n keystream bits, lazily: data bits a_i kept wherever the selector bit s_i is 1."""
+def _keystream(spec: SgSpec, key: ShrinkingKey, n: int) -> Iterator[bytes]:
+    """First n keystream bits as 0/1 bytes, lazily: data bits a_i where selector bit s_i is 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if key.sra_state.length != spec.a_length:
         raise ValueError(f"SRA state needs {spec.a_length} bits")
     if key.srs_state.length != spec.s_length:
         raise ValueError(f"SRS state needs {spec.s_length} bits")
-    a_bits, s_bits = lfsr_stream(spec.sra, key.sra_state), lfsr_stream(spec.srs, key.srs_state)
-    return islice(compress(a_bits, s_bits), n)
+    a_blocks = _blocks(_state_mask(key.sra_state), spec._sra_blocks, spec.a_length)
+    s_blocks = _blocks(_state_mask(key.srs_state), spec._srs_blocks, spec.s_length)
+    kept = map(bytes, map(compress, a_blocks, s_blocks))  # block k of each: the same clocks
+    while n > 0:  # the pair that reaches n bits is cut there
+        block = next(kept)[:n]
+        n -= len(block)
+        yield block
 
 
 def shrink(spec: SgSpec, key: ShrinkingKey, n: int) -> BitSequence:
-    """First n keystream bits."""
-    return BitSequence(_keystream(spec, key, n))
+    """First n keystream bits, joined from their block pairs."""
+    return BitSequence(b"".join(_keystream(spec, key, n)))
 
 
 def shrunken_period(a: int, s: int) -> int:

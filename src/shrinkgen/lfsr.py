@@ -10,8 +10,8 @@ Streams run a block of _BLOCK_BITS clocks at a time: output bit u of the
 state c is parity((x^u mod P) & c), and the state _BLOCK_BITS clocks on is
 linear in c as well, so one table per byte of c gives both at once.
 
-Bit sequences serialize as ASCII '0'/'1' strings, index 0 first; whitespace
-and line breaks are ignored on parse.
+Bit sequences hold one 0/1 byte per bit and serialize as ASCII '0'/'1'
+strings, index 0 first; whitespace and line breaks are ignored on parse.
 """
 
 from __future__ import annotations
@@ -28,42 +28,47 @@ from .gf2 import BinaryPolynomial, _byte_tables, _mulmod, _powers, poly_is_primi
 # L + _BLOCK_BITS bits.
 _BLOCK_BITS = 256
 
-# Byte d as 8 one-byte bits, bit 0 first.
-_EXPAND = tuple(bytes(d >> i & 1 for i in range(8)) for d in range(256))
+# Translation tables between 0/1 bytes and ASCII '0'/'1'.
+_ASCII, _BITS = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
 
 
 def _bit_text(bits: Iterable[int]) -> str:
     """'0'/'1' text of 0/1 ints, index 0 first: one byte per bit, no string per bit."""
-    return bytes(bits).translate(bytes.maketrans(b"\0\1", b"01")).decode()
+    return bytes(bits).translate(_ASCII).decode()
 
 
 class BitSequence:
-    """Immutable bit vector."""
+    """Immutable bit vector; a bytes argument is checked in one C pass, anything else per item."""
 
     __slots__ = ("_bits",)
 
     def __init__(self, bits: Iterable[int]):
-        bits = tuple(map(int, bits))
-        if bits.count(0) + bits.count(1) != len(bits):
-            raise ValueError("sequence bits must be 0 or 1")
+        if isinstance(bits, bytes):
+            if bits.translate(None, b"\0\1"):
+                raise ValueError("sequence bits must be 0 or 1")
+        else:
+            bits = tuple(map(int, bits))
+            if bits.count(0) + bits.count(1) != len(bits):
+                raise ValueError("sequence bits must be 0 or 1")
+            bits = bytes(bits)
         self._bits = bits
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return self._bits
+        return tuple(self._bits)
 
     @classmethod
     def parse(cls, text: str) -> "BitSequence":
-        s = "".join(text.split())
-        if any(ch not in "01" for ch in s):
+        s = "".join(text.split()).encode("ascii", "replace")  # a non-ASCII character becomes '?'
+        if s.translate(None, b"01"):
             raise ValueError("bit strings may only contain '0' and '1'")
-        return cls(int(ch) for ch in s)
+        return cls(s.translate(_BITS))
 
     def __len__(self) -> int:
         return len(self._bits)
 
     def __getitem__(self, i):
-        return self._bits[i]
+        return tuple(self._bits[i]) if isinstance(i, slice) else self._bits[i]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._bits)
@@ -145,7 +150,8 @@ def lfsr_stream(spec: LfsrSpec, state: LfsrState) -> Iterator[int]:
     """Yield the register's output sequence indefinitely."""
     if state.length != spec.length:
         raise ValueError(f"state has {state.length} bits, register needs {spec.length}")
-    return chain.from_iterable(_blocks(_state_mask(state), spec.taps, spec.length))
+    tables = _block_tables(spec.taps, spec.length)
+    return chain.from_iterable(_blocks(_state_mask(state), tables, spec.length))
 
 
 def _state_mask(state: LfsrState) -> int:
@@ -187,17 +193,15 @@ def _window(reg: int, tables: tuple[tuple[int, ...], ...], length: int, bits: in
     return int.from_bytes(b"".join(steps), "little")
 
 
-def _blocks(reg: int, taps: int, length: int) -> Iterator[bytes]:
-    """The output from state reg, _BLOCK_BITS bits per block as 0/1 bytes."""
-    tables = _block_tables(taps, length)
+def _blocks(reg: int, tables: tuple[tuple[int, ...], ...], length: int) -> Iterator[bytes]:
+    """The output from state reg, _BLOCK_BITS bits per block as 0/1 bytes, one format per block."""
     while True:
         reg, out = _step(reg, tables, length)
-        yield b"".join(map(_EXPAND.__getitem__, out))
+        yield f"{int.from_bytes(out, 'little'):0{_BLOCK_BITS}b}"[::-1].encode().translate(_BITS)
 
 
 def lfsr_generate(spec: LfsrSpec, state: LfsrState, n: int) -> BitSequence:
     """First n output terms; one period is spec.period = 2^L - 1 of them."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return BitSequence(islice(lfsr_stream(spec, state), n))
-
+    return BitSequence(bytes(islice(lfsr_stream(spec, state), n)))

@@ -7,7 +7,7 @@ iterated multiplication, and periods by scanning divisors.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 
 
 def mask_to_list(mask):
@@ -96,6 +96,11 @@ def lfsr_run(charpoly, state, n):
     for k in range(n - length):
         seq.append(sum(charpoly[i] * seq[k + i] for i in range(length)) % 2)
     return seq[:n]
+
+
+def shrunken_run(pa, ps, sra, srs, clocks):
+    """Keystream over `clocks` clocks: `lfsr_run` data bits kept where the selector bit is 1."""
+    return list(compress(lfsr_run(pa, sra, clocks), lfsr_run(ps, srs, clocks)))
 
 
 def lfsr_min_period(charpoly, state):

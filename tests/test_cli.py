@@ -111,7 +111,7 @@ class TestGen:
 
     @pytest.mark.parametrize("n", [0, 1, 65535, 65536, 65537, 200000])
     def test_chunked_output_is_the_keystream(self, capsys, n):
-        # gen writes 2^16-bit chunks; their seams must not show in the output
+        # gen writes chunks of block pairs, about 2^15 bits each here; their seams must not show
         spec = make_spec(12, 7)
         key = ShrinkingKey(LfsrState.parse("100110111010"), LfsrState.parse("1011001"))
         code, out, err = invoke(
@@ -132,6 +132,17 @@ class TestGen:
         assert (code, err) == (0, "")
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "be82ccc7ae5859a3fac26779925c60ccae7b77453e693f70145b58ab2992dc2d"
+
+    def test_wide_register_output_digest_is_pinned(self, capsys):
+        # sha256 of the stdout at commit 8732fae, before shrink kept one block pair at a time;
+        # a three-byte data register with a one-byte selector
+        code, out, err = invoke(
+            capsys, "gen", "--pa", "x^21+x^2+1", "--ps", "x^8+x^4+x^3+x^2+1",
+            "--sra", "101100111000111101001", "--srs", "10110011", "--n", "200003",
+        )
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "ebaf7ffc729f84697ad8dee53e01130df7fba9f76bd23e8469650415d97325ce"
 
     def test_peak_memory_does_not_grow_with_n(self):
         class Discard:

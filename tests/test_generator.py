@@ -145,6 +145,23 @@ class TestShrink:
             expected = list(compress(data, selector))
             assert list(shrink(spec, key, len(expected))) == expected
 
+    @pytest.mark.parametrize("a,s", [(5, 4), (12, 7), (21, 8), (31, 5)])
+    def test_cut_at_each_block_pair_seam(self, a, s):
+        # shrink keeps one block pair's bits at a time and cuts the last pair at n, so n at
+        # each of the first four pairs' cumulative kept-bit counts, and one either side
+        rng = random.Random(37 * a + s)
+        spec = make_spec(a, s)
+        pa, ps = (oracles.mask_to_list(p.mask) for p in (spec.pa, spec.ps))
+        for _ in range(2):
+            key = random_key(rng, spec)
+            sra, srs = list(key.sra_state.bits), list(key.srs_state.bits)
+            expected = oracles.shrunken_run(pa, ps, sra, srs, 5 * _BLOCK_BITS)
+            selector = oracles.lfsr_run(ps, srs, 4 * _BLOCK_BITS)
+            seams = [sum(selector[:k * _BLOCK_BITS]) for k in range(1, 5)]
+            assert seams[-1] < len(expected)
+            for n in sorted({m + d for m in seams for d in (-1, 0, 1)}):
+                assert shrink(spec, key, n).bits == tuple(expected[:n])
+
 
 class TestShrunkenPeriod:
     def test_formula_values(self):

@@ -37,6 +37,12 @@ class TestBitSequence:
         with pytest.raises(ValueError):
             BitSequence.parse("10021")
 
+    @pytest.mark.parametrize("text", ["10\u06611", "1\u00e90", "\u0661", "1\x000", "1\ud8000"])
+    def test_parse_rejects_non_ascii_and_control_characters(self, text):
+        with pytest.raises(ValueError) as got:
+            BitSequence.parse(text)
+        assert str(got.value) == "bit strings may only contain '0' and '1'"
+
     @given(st.lists(st.integers(0, 1) | st.booleans(), max_size=300))
     def test_str_lists_each_bit(self, bits):
         assert str(BitSequence(bits)) == "".join("01"[b] for b in bits)
@@ -58,6 +64,19 @@ class TestBitSequence:
             assert str(got.value) == str(exc)
         else:
             assert BitSequence(items).bits == expected
+
+    def test_bytes_argument_equals_the_same_ints(self):
+        seq, ints = BitSequence(b"\x00\x01"), BitSequence([0, 1])
+        assert seq == ints and seq.bits == ints.bits == (0, 1)
+        assert str(seq) == str(ints) == "01" and hash(seq) == hash(ints)
+        assert (seq[0], seq[1], seq[-1]) == (ints[0], ints[1], ints[-1]) == (0, 1, 1)
+        assert seq[:1] == ints[:1] == (0,) and seq[::-1] == ints[::-1] == (1, 0)
+        assert type(seq[0]) is int and type(seq[:1]) is tuple
+
+    def test_bytes_argument_rejects_a_non_bit(self):
+        with pytest.raises(ValueError) as got:
+            BitSequence(b"\x00\x02")
+        assert str(got.value) == "sequence bits must be 0 or 1"
 
     @given(st.text() | BIT_TEXT)
     def test_parse_returns_bits_or_raises_value_error(self, text):
