@@ -8,14 +8,18 @@ interval (A * 2^(S-2), A * 2^(S-1)], and the characteristic polynomial P_D^p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from math import gcd
 from typing import Iterator
 
 from .errors import InconsistentDataError
 from .gf2 import (BinaryPolynomial, _byte_tables, _inverse, _jump_table, _mulmod, _powers,
                   _xpow, berlekamp_massey, coset_min_poly)
-from .lfsr import BitSequence, LfsrSpec, LfsrState, _block_tables, _blocks, _state_mask
+from .lfsr import _BLOCK_BITS, BitSequence, LfsrSpec, LfsrState, _block_tables, _state_mask, _step
+
+# Block pairs per decimation batch (see _keystream), and the translation of a batch's kept
+# bytes 0x92/0x93 to the data bits 0/1.
+_BATCH = 8
+_KEEP = bytes.maketrans(b"\x92\x93", b"\0\1")
 
 
 def _check_lengths(a: int, s: int) -> None:
@@ -90,25 +94,53 @@ def column_poly(spec: SgSpec) -> BinaryPolynomial:
     return spec._pd
 
 
+def _batches(reg: int, tables: tuple[tuple[int, ...], ...], length: int) -> Iterator[int]:
+    """The output from state reg, _BATCH block steps at a time, each batch's ASCII '0'/'1'
+    digits read as one big-endian int: digit u from the right is clock u of the batch."""
+    width = _BATCH * _BLOCK_BITS
+    while True:
+        steps = []
+        for _ in range(_BATCH):
+            reg, out = _step(reg, tables, length)
+            steps.append(out)
+        text = f"{int.from_bytes(b''.join(steps), 'little'):0{width}b}"
+        yield int.from_bytes(text.encode(), "big")
+
+
+def _decimate(data: int, selector: int) -> bytes:
+    """One batch's kept bits as 0/1 bytes, clock 0 first, from its two digit ints."""
+    both = data + 2 * selector  # byte u from the right: 0x90 + a_u + 2 s_u <= 0x93
+    return both.to_bytes(_BATCH * _BLOCK_BITS, "big")[::-1].translate(_KEEP, b"\x90\x91")
+
+
 def _keystream(spec: SgSpec, key: ShrinkingKey, n: int) -> Iterator[bytes]:
-    """First n keystream bits as 0/1 bytes, lazily: data bits a_i where selector bit s_i is 1."""
+    """First n keystream bits as 0/1 bytes, lazily, one batch of _BATCH block pairs at a time.
+
+    Keystream bits are the data bits a_u where selector bit s_u is 1.  Each batch steps
+    both registers _BATCH blocks and decimates their w = _BATCH * _BLOCK_BITS clocks in C:
+    each register's ASCII '0'/'1' digits, read as a big-endian int, are added as data plus
+    twice selector, so the byte of clock u is 0x30 + a_u + 2(0x30 + s_u) = 0x90 + a_u + 2 s_u,
+    at most 0x93, and no byte carries into the next.  Reversed to clock order, one translate
+    deletes the bytes 0x90/0x91 (s_u = 0) and maps 0x92/0x93 to a_u.  The batch that reaches
+    n bits is cut there.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if key.sra_state.length != spec.a_length:
         raise ValueError(f"SRA state needs {spec.a_length} bits")
     if key.srs_state.length != spec.s_length:
         raise ValueError(f"SRS state needs {spec.s_length} bits")
-    a_blocks = _blocks(_state_mask(key.sra_state), spec._sra_blocks, spec.a_length)
-    s_blocks = _blocks(_state_mask(key.srs_state), spec._srs_blocks, spec.s_length)
-    kept = map(bytes, map(compress, a_blocks, s_blocks))  # block k of each: the same clocks
-    while n > 0:  # the pair that reaches n bits is cut there
-        block = next(kept)[:n]
-        n -= len(block)
-        yield block
+    data = _batches(_state_mask(key.sra_state), spec._sra_blocks, spec.a_length)
+    selector = _batches(_state_mask(key.srs_state), spec._srs_blocks, spec.s_length)
+    kept = map(_decimate, data, selector)  # batch k of each: the same clocks
+    while n > 0:
+        batch = next(kept)[:n]
+        n -= len(batch)
+        yield batch
 
 
 def shrink(spec: SgSpec, key: ShrinkingKey, n: int) -> BitSequence:
-    """First n keystream bits, joined from their block pairs."""
+    """First n keystream bits, joined from their batches."""
     return BitSequence(b"".join(_keystream(spec, key, n)))
 
 

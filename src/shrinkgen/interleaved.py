@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 from .generator import _check_lengths
+from .lfsr import BitSequence
 
 
 class KnownBits:
@@ -62,8 +63,16 @@ class KnownBits:
 
     @classmethod
     def from_prefix(cls, bits: Iterable[int]) -> "KnownBits":
-        """Known bits for a contiguous keystream run beginning at position 0."""
-        return cls(enumerate(bits))
+        """Known bits for a contiguous keystream run beginning at position 0.
+
+        A BitSequence's bits are already 0/1 and its positions range(n), ascending and
+        distinct, so its map is built in one C pass; anything else is checked per item.
+        """
+        if not isinstance(bits, BitSequence):
+            return cls(enumerate(bits))
+        known = cls.__new__(cls)
+        known._entries = dict(enumerate(bits))
+        return known
 
     def positions(self) -> tuple[int, ...]:
         return tuple(self._entries)

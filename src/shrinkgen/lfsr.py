@@ -8,7 +8,13 @@ themselves.
 
 Streams run a block of _BLOCK_BITS clocks at a time: output bit u of the
 state c is parity((x^u mod P) & c), and the state _BLOCK_BITS clocks on is
-linear in c as well, so one table per byte of c gives both at once.
+linear in c as well, so one table per byte of c gives both at once.  The
+shrinking generator (generator._keystream) steps both of its registers a
+batch of blocks at a time and decimates each batch in C: it writes each
+register's batch as ASCII '0'/'1' digits, adds the data digits to twice the
+selector digits as big-endian ints, so that each byte is
+0x90 + a_u + 2 s_u <= 0x93 and none carries, and one translate deletes the
+bytes where s_u = 0 and maps the rest to the data bits.
 
 Bit sequences hold one 0/1 byte per bit and serialize as ASCII '0'/'1'
 strings, index 0 first; whitespace and line breaks are ignored on parse.

@@ -39,7 +39,8 @@ from shrinkgen import (
     shrunken_period,
 )
 from shrinkgen import generator
-from shrinkgen.cli import run
+from shrinkgen.cli import _GEN_CHUNK_BATCHES, run
+from shrinkgen.lfsr import _BLOCK_BITS
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -109,11 +110,22 @@ class TestGen:
         )
         assert (code, out, err) == (1, "", "error: n must be >= 0\n")
 
-    @pytest.mark.parametrize("n", [0, 1, 65535, 65536, 65537, 200000])
+    @pytest.mark.parametrize("n", [0, 1, 65535, 65536, 65537, 200000] + [
+        pytest.param((clocks, d), id=f"{name}{d:+d}")
+        for name, clocks in (("batch", generator._BATCH * _BLOCK_BITS),
+                             ("chunk", _GEN_CHUNK_BATCHES * generator._BATCH * _BLOCK_BITS))
+        for d in (-1, 0, 1)
+    ])
     def test_chunked_output_is_the_keystream(self, capsys, n):
-        # gen writes chunks of block pairs, about 2^15 bits each here; their seams must not show
+        # gen writes chunks of 32 batches of 8 block pairs, 2^16 clocks and about 2^15 bits
+        # each here; their seams must not show.  A (clocks, d) pair is n = d plus the bits
+        # kept from the first batch or chunk of clocks
         spec = make_spec(12, 7)
         key = ShrinkingKey(LfsrState.parse("100110111010"), LfsrState.parse("1011001"))
+        if isinstance(n, tuple):
+            clocks, d = n
+            ps = oracles.mask_to_list(spec.ps.mask)
+            n = sum(oracles.lfsr_run(ps, list(key.srs_state.bits), clocks)) + d
         code, out, err = invoke(
             capsys, "gen", "--pa", str(spec.pa), "--ps", str(spec.ps),
             "--sra", str(key.sra_state), "--srs", str(key.srs_state), "--n", str(n),
@@ -143,6 +155,17 @@ class TestGen:
         assert (code, err) == (0, "")
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "ebaf7ffc729f84697ad8dee53e01130df7fba9f76bd23e8469650415d97325ce"
+
+    def test_all_kept_output_digest_is_pinned(self, capsys):
+        # sha256 of the stdout at commit 18f9cb4, before shrink decimated batches of block
+        # pairs: at S = 1 the selector is all ones, so every data bit is kept
+        code, out, err = invoke(
+            capsys, "gen", "--pa", "x^12+x^6+x^4+x+1", "--ps", "x+1",
+            "--sra", "100110111010", "--srs", "1", "--n", "200003",
+        )
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "10955edcfb4d11ae96998bfe70d8d125c5571f7c4b6d2ee19e8a867f84f2164d"
 
     def test_peak_memory_does_not_grow_with_n(self):
         class Discard:

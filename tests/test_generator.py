@@ -26,6 +26,7 @@ from shrinkgen import (
     shrunken_period,
     verify_shrunken_charpoly,
 )
+from shrinkgen.generator import _BATCH
 from shrinkgen.lfsr import _BLOCK_BITS
 
 
@@ -133,11 +134,12 @@ class TestShrink:
 
     @pytest.mark.parametrize("a,s", [(12, 7), (21, 8), (12, 1)])
     def test_matches_direct_recurrences_across_block_seams(self, a, s):
-        # each register's stream runs _BLOCK_BITS clocks per step; S = 1 keeps every data bit
+        # each register's stream runs _BLOCK_BITS clocks per step and is decimated _BATCH
+        # steps at a time; this reaches into the third batch.  S = 1 keeps every data bit
         rng = random.Random(131 * a + s)
         spec = make_spec(a, s)
         pa, ps = (oracles.mask_to_list(p.mask) for p in (spec.pa, spec.ps))
-        clocks = 4 * _BLOCK_BITS + 3
+        clocks = (2 * _BATCH + 1) * _BLOCK_BITS + 3
         for _ in range(3):
             key = random_key(rng, spec)
             data = oracles.lfsr_run(pa, list(key.sra_state.bits), clocks)
@@ -158,6 +160,24 @@ class TestShrink:
             expected = oracles.shrunken_run(pa, ps, sra, srs, 5 * _BLOCK_BITS)
             selector = oracles.lfsr_run(ps, srs, 4 * _BLOCK_BITS)
             seams = [sum(selector[:k * _BLOCK_BITS]) for k in range(1, 5)]
+            assert seams[-1] < len(expected)
+            for n in sorted({m + d for m in seams for d in (-1, 0, 1)}):
+                assert shrink(spec, key, n).bits == tuple(expected[:n])
+
+    @pytest.mark.parametrize("a,s", [(5, 4), (12, 7), (21, 8), (31, 5), (12, 1)])
+    def test_cut_at_each_batch_seam(self, a, s):
+        # shrink decimates _BATCH block pairs at a time and cuts the last batch at n, so n at
+        # each of the first three batches' cumulative kept-bit counts, and one either side
+        rng = random.Random(41 * a + s)
+        spec = make_spec(a, s)
+        pa, ps = (oracles.mask_to_list(p.mask) for p in (spec.pa, spec.ps))
+        width = _BATCH * _BLOCK_BITS
+        for _ in range(2):
+            key = random_key(rng, spec)
+            sra, srs = list(key.sra_state.bits), list(key.srs_state.bits)
+            expected = oracles.shrunken_run(pa, ps, sra, srs, 3 * width + _BLOCK_BITS)
+            selector = oracles.lfsr_run(ps, srs, 3 * width)
+            seams = [sum(selector[:k * width]) for k in range(1, 4)]
             assert seams[-1] < len(expected)
             for n in sorted({m + d for m in seams for d in (-1, 0, 1)}):
                 assert shrink(spec, key, n).bits == tuple(expected[:n])

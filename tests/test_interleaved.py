@@ -85,6 +85,15 @@ class TestKnownBits:
         known = KnownBits.from_prefix((1, 0, 1))
         assert dict(known.items()) == {0: 1, 1: 0, 2: 1}
 
+    @pytest.mark.parametrize("a,s,n", [(5, 4, 0), (5, 4, 248), (12, 7, 5000)])
+    def test_from_prefix_of_a_bit_sequence_matches_the_checked_path(self, a, s, n):
+        # a BitSequence skips the per-item checks and the sort; a list of its bits takes them
+        spec = make_spec(a, s)
+        z = shrink(spec, random_key(random.Random(a + n), spec), n)
+        fast, checked = KnownBits.from_prefix(z), KnownBits.from_prefix(list(z))
+        assert fast == checked and hash(fast) == hash(checked)
+        assert fast.positions() == tuple(range(n)) and list(fast.items()) == list(enumerate(z))
+
 
 class TestBuildIc:
     def test_known_submatrix_placement(self, kat_known):
