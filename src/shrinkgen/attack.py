@@ -27,16 +27,14 @@ generates the same keystream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count, islice, takewhile
+from itertools import islice, takewhile
 from typing import Callable, Iterable
 
 from .errors import InconsistentDataError, InsufficientInputError, UnsupportedSizeError
 from .gf2 import _JUMP_BITS, BinaryPolynomial, _eliminate, _jump, _mulmod, mod_inverse
-from .generator import SgSpec, ShrinkingKey, column_poly
+from .generator import SgSpec, ShrinkingKey, _column_offsets, column_poly
 from .interleaved import KnownBits
 from .lfsr import BitSequence, LfsrSpec, LfsrState, _state_mask, _window, lfsr_generate
-
-_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")  # ASCII digits to the 0/1 bytes compress reads
 
 # brute_force enumerates at most 2^(BRUTE_FORCE_MAX_BITS - 1) keys: S - 1 guessed
 # selector bits plus A - rank free data bits.
@@ -154,14 +152,6 @@ def _solve(spec: SgSpec, v: int) -> int:
     for table, d in zip(spec._col0_tables, v.to_bytes(len(spec._col0_tables), "little")):
         c ^= table[d]
     return c
-
-
-def _column_offsets(spec: SgSpec, w: int, columns: int) -> list[int]:
-    """o_0 .. o_{columns-1}, the positions of the first 1s in the selector sequence from
-    state w (bit i = s_i): at most S apart, all within its first 2^S - 1 bits."""
-    s = spec.s_length
-    bits = f"{_window(w, spec._srs_blocks, s, min(columns * s, (1 << s) - 1)):b}"[::-1].encode()
-    return list(islice(compress(count(), bits.translate(_ZERO_ONE)), columns))
 
 
 def _offsets(spec: SgSpec, solved: list[int], window: int) -> tuple[int, tuple[int, ...]]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import islice
 from pathlib import Path
 
 from .attack import AttackInput, attack, brute_force
@@ -26,11 +25,6 @@ from .generator import (
 from .gf2 import BinaryPolynomial, coset_min_poly
 from .interleaved import KnownBits, build_ic
 from .lfsr import BitSequence, LfsrState, _bit_text
-
-# gen writes the keystream in chunks of this many batches of 8 256-clock block pairs (65,536
-# clocks, so at most 2^16 bits), one text per chunk, so its memory does not grow with --n.
-_GEN_CHUNK_BATCHES = 32
-
 
 class _UsageError(Exception):
     pass
@@ -133,8 +127,7 @@ def _known_from(args, spec: SgSpec, submatrix_only: bool) -> KnownBits:
 
 
 def _cmd_gen(args) -> None:
-    batches = _keystream(_spec_from(args), _key_from(args), args.n)
-    while chunk := b"".join(islice(batches, _GEN_CHUNK_BATCHES)):
+    for chunk in _keystream(_spec_from(args), _key_from(args), args.n):
         print(_bit_text(chunk), end="")
         del chunk  # no chunk outlives its print
     print()

@@ -8,18 +8,18 @@ interval (A * 2^(S-2), A * 2^(S-1)], and the characteristic polynomial P_D^p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count, islice
 from math import gcd
 from typing import Iterator
 
 from .errors import InconsistentDataError
 from .gf2 import (BinaryPolynomial, _byte_tables, _inverse, _jump_table, _mulmod, _powers,
                   _xpow, berlekamp_massey, coset_min_poly)
-from .lfsr import _BLOCK_BITS, BitSequence, LfsrSpec, LfsrState, _block_tables, _state_mask, _step
+from .lfsr import (_BITS, _BLOCK_BITS, BitSequence, LfsrSpec, LfsrState, _block_tables, _state_mask,
+                   _step, _window)
 
-# Block pairs per decimation batch (see _keystream), and the translation of a batch's kept
-# bytes 0x92/0x93 to the data bits 0/1.
-_BATCH = 8
-_KEEP = bytes.maketrans(b"\x92\x93", b"\0\1")
+# Keystream bits per chunk of IC rows (see _keystream): about this many, and at least one row.
+_CHUNK = 1 << 16
 
 
 def _check_lengths(a: int, s: int) -> None:
@@ -94,35 +94,28 @@ def column_poly(spec: SgSpec) -> BinaryPolynomial:
     return spec._pd
 
 
-def _batches(reg: int, tables: tuple[tuple[int, ...], ...], length: int) -> Iterator[int]:
-    """The output from state reg, _BATCH block steps at a time, each batch's ASCII '0'/'1'
-    digits read as one big-endian int: digit u from the right is clock u of the batch."""
-    width = _BATCH * _BLOCK_BITS
-    while True:
-        steps = []
-        for _ in range(_BATCH):
-            reg, out = _step(reg, tables, length)
-            steps.append(out)
-        text = f"{int.from_bytes(b''.join(steps), 'little'):0{width}b}"
-        yield int.from_bytes(text.encode(), "big")
+def _column_offsets(spec: SgSpec, w: int, columns: int) -> list[int]:
+    """o_0 .. o_{columns-1}, the positions of the first 1s in the selector sequence from
+    state w (bit i = s_i): at most S apart, all within its first 2^S - 1 bits."""
+    s = spec.s_length
+    bits = f"{_window(w, spec._srs_blocks, s, min(columns * s, (1 << s) - 1)):b}"[::-1].encode()
+    return list(islice(compress(count(), bits.translate(_BITS)), columns))
 
 
-def _decimate(data: int, selector: int) -> bytes:
-    """One batch's kept bits as 0/1 bytes, clock 0 first, from its two digit ints."""
-    both = data + 2 * selector  # byte u from the right: 0x90 + a_u + 2 s_u <= 0x93
-    return both.to_bytes(_BATCH * _BLOCK_BITS, "big")[::-1].translate(_KEEP, b"\x90\x91")
+def _keystream(spec: SgSpec, key: ShrinkingKey, n: int) -> Iterator[bytearray]:
+    """First n keystream bits as 0/1 bytes, lazily, one chunk of whole IC rows at a time.
 
-
-def _keystream(spec: SgSpec, key: ShrinkingKey, n: int) -> Iterator[bytes]:
-    """First n keystream bits as 0/1 bytes, lazily, one batch of _BATCH block pairs at a time.
-
-    Keystream bits are the data bits a_u where selector bit s_u is 1.  Each batch steps
-    both registers _BATCH blocks and decimates their w = _BATCH * _BLOCK_BITS clocks in C:
-    each register's ASCII '0'/'1' digits, read as a big-endian int, are added as data plus
-    twice selector, so the byte of clock u is 0x30 + a_u + 2(0x30 + s_u) = 0x90 + a_u + 2 s_u,
-    at most 0x93, and no byte carries into the next.  Reversed to clock order, one translate
-    deletes the bytes 0x90/0x91 (s_u = 0) and maps 0x92/0x93 to a_u.  The batch that reaches
-    n bits is cut there.
+    Keystream bits are the data bits a_u where selector bit s_u is 1.  The selector has
+    period 2^S - 1 and 2^(S-1) ones in each period, so keystream bit r 2^(S-1) + j, IC
+    cell (r, j), is data bit r (2^S - 1) + o_j, o_j the position of the (j+1)-th selector
+    1.  The selector is clocked once, for the offsets o_0 .. o_{W-1} of the W =
+    min(n, 2^(S-1)) columns in use.  Each chunk of R = max(1, _CHUNK // 2^(S-1)) rows, or
+    fewer for the last, steps the data register through its R (2^S - 1) clocks, formats
+    their output once as ASCII digits in clock order, keeping the digits past the chunk for
+    the next, and fills each column with one strided copy; one translate maps the chunk to
+    0/1 bytes, and the chunk that reaches n bits is cut there.  A call costs a Python step
+    per block of 256 clocks and per column per chunk, so calls of fewer than about ten
+    rows pay more per bit; it holds the W offsets and one chunk, at least one row.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -130,17 +123,34 @@ def _keystream(spec: SgSpec, key: ShrinkingKey, n: int) -> Iterator[bytes]:
         raise ValueError(f"SRA state needs {spec.a_length} bits")
     if key.srs_state.length != spec.s_length:
         raise ValueError(f"SRS state needs {spec.s_length} bits")
-    data = _batches(_state_mask(key.sra_state), spec._sra_blocks, spec.a_length)
-    selector = _batches(_state_mask(key.srs_state), spec._srs_blocks, spec.s_length)
-    kept = map(_decimate, data, selector)  # batch k of each: the same clocks
+    s = spec.s_length
+    period, width = (1 << s) - 1, min(n, 1 << (s - 1))
+    offsets = _column_offsets(spec, _state_mask(key.srs_state), width)
+    reg, tables, a = _state_mask(key.sra_state), spec._sra_blocks, spec.a_length
+    chunk_rows, text = max(1, _CHUNK >> (s - 1)), b""
     while n > 0:
-        batch = next(kept)[:n]
-        n -= len(batch)
-        yield batch
+        rows = min(chunk_rows, -(-n // width))
+        clocks = rows * period
+        steps = []
+        while len(steps) * _BLOCK_BITS < clocks - len(text):
+            reg, out = _step(reg, tables, a)
+            steps.append(out)
+        # A 1 above the last clock's bit keeps the leading 0 digits; the reversal drops it.
+        top = 1 << len(steps) * _BLOCK_BITS
+        text += f"{top | int.from_bytes(b''.join(steps), 'little'):b}".encode()[:0:-1]
+        chunk = bytearray(rows * width)
+        for j, o in enumerate(offsets):
+            chunk[j::width] = text[o:clocks:period]
+        text = text[clocks:]
+        chunk = chunk.translate(_BITS)
+        del chunk[n:]
+        n -= len(chunk)
+        yield chunk
+        del chunk  # no chunk outlives its consumer's turn
 
 
 def shrink(spec: SgSpec, key: ShrinkingKey, n: int) -> BitSequence:
-    """First n keystream bits, joined from their batches."""
+    """First n keystream bits, joined from their chunks of IC rows."""
     return BitSequence(b"".join(_keystream(spec, key, n)))
 
 

@@ -12,10 +12,14 @@ print one matrix row per line with '.' for unknown cells.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping
 
 from .generator import _check_lengths
 from .lfsr import BitSequence
+
+# An IC cell's byte, its bit or 2 where unknown, to its character in a dump line.
+_CELL_TEXT = bytes.maketrans(b"\0\1\2", b"01.")
 
 
 class KnownBits:
@@ -119,9 +123,10 @@ class InterleavedConfig:
 
     def lines(self) -> Iterator[str]:
         """One line per matrix row, each built when it is read; '.' marks unknown cells."""
-        for start in range(0, self.rows * self.cols, self.cols):
-            row = [self._known.get(pos) for pos in range(start, start + self.cols)]
-            yield "".join("." if b is None else str(b) for b in row)
+        get, cols = self._known.get, self.cols
+        for start in range(0, self.rows * cols, cols):
+            row = bytes(map(get, range(start, start + cols), repeat(2)))
+            yield row.translate(_CELL_TEXT).decode()
 
     def __repr__(self) -> str:
         return f"<InterleavedConfig {self.rows}x{self.cols}, {len(self._known)} known>"

@@ -92,9 +92,10 @@ def lfsr_run(charpoly, state, n):
     """Run a[k+L] = sum c_i a[k+i] by direct indexing; charpoly index k = c_k."""
     length = len(charpoly) - 1
     assert charpoly[length] == 1 and len(state) == length
+    taps = [i for i in range(length) if charpoly[i]]  # the i with c_i = 1
     seq = list(state)
     for k in range(n - length):
-        seq.append(sum(charpoly[i] * seq[k + i] for i in range(length)) % 2)
+        seq.append(sum(seq[k + i] for i in taps) % 2)
     return seq[:n]
 
 

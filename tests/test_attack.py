@@ -54,7 +54,8 @@ from shrinkgen import (
     shrink,
     shrunken_period,
 )
-from shrinkgen.attack import _check_regeneration, _column_offsets, _corner, _row_reader, _solve
+from shrinkgen.attack import _check_regeneration, _corner, _row_reader, _solve
+from shrinkgen.generator import _column_offsets
 from shrinkgen import gf2
 from shrinkgen.gf2 import _inverse, _powers, _xpow
 from shrinkgen.lfsr import _block_tables, _window

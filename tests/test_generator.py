@@ -26,7 +26,7 @@ from shrinkgen import (
     shrunken_period,
     verify_shrunken_charpoly,
 )
-from shrinkgen.generator import _BATCH
+from shrinkgen.generator import _CHUNK
 from shrinkgen.lfsr import _BLOCK_BITS
 
 
@@ -134,12 +134,12 @@ class TestShrink:
 
     @pytest.mark.parametrize("a,s", [(12, 7), (21, 8), (12, 1)])
     def test_matches_direct_recurrences_across_block_seams(self, a, s):
-        # each register's stream runs _BLOCK_BITS clocks per step and is decimated _BATCH
-        # steps at a time; this reaches into the third batch.  S = 1 keeps every data bit
+        # the data register runs _BLOCK_BITS clocks per step, and a step's clocks past a chunk
+        # of rows carry into the next; this crosses 17 steps.  S = 1 keeps every data bit
         rng = random.Random(131 * a + s)
         spec = make_spec(a, s)
         pa, ps = (oracles.mask_to_list(p.mask) for p in (spec.pa, spec.ps))
-        clocks = (2 * _BATCH + 1) * _BLOCK_BITS + 3
+        clocks = 17 * _BLOCK_BITS + 3
         for _ in range(3):
             key = random_key(rng, spec)
             data = oracles.lfsr_run(pa, list(key.sra_state.bits), clocks)
@@ -164,23 +164,24 @@ class TestShrink:
             for n in sorted({m + d for m in seams for d in (-1, 0, 1)}):
                 assert shrink(spec, key, n).bits == tuple(expected[:n])
 
-    @pytest.mark.parametrize("a,s", [(5, 4), (12, 7), (21, 8), (31, 5), (12, 1)])
-    def test_cut_at_each_batch_seam(self, a, s):
-        # shrink decimates _BATCH block pairs at a time and cuts the last batch at n, so n at
-        # each of the first three batches' cumulative kept-bit counts, and one either side
-        rng = random.Random(41 * a + s)
+    @pytest.mark.parametrize("a,s", [(5, 4), (12, 7), (21, 8), (31, 5), (12, 1), (31, 11)])
+    def test_cut_at_each_row_and_chunk_seam(self, a, s):
+        # shrink fills whole IC rows of 2^(S-1) bits, a chunk of max(1, _CHUNK / 2^(S-1)) rows
+        # at a time, and cuts the last chunk at n: so n at the ends of the first three rows and
+        # of the first three chunks, and one either side.  The selector starts with 0 where
+        # S > 1, so column 0 is not data bit 0
         spec = make_spec(a, s)
+        cols = 1 << (s - 1)
+        chunk = max(1, _CHUNK // cols) * cols
+        key = random_key(random.Random(43 * a + s), spec, s0=0 if s > 1 else None)
         pa, ps = (oracles.mask_to_list(p.mask) for p in (spec.pa, spec.ps))
-        width = _BATCH * _BLOCK_BITS
-        for _ in range(2):
-            key = random_key(rng, spec)
-            sra, srs = list(key.sra_state.bits), list(key.srs_state.bits)
-            expected = oracles.shrunken_run(pa, ps, sra, srs, 3 * width + _BLOCK_BITS)
-            selector = oracles.lfsr_run(ps, srs, 3 * width)
-            seams = [sum(selector[:k * width]) for k in range(1, 4)]
-            assert seams[-1] < len(expected)
-            for n in sorted({m + d for m in seams for d in (-1, 0, 1)}):
-                assert shrink(spec, key, n).bits == tuple(expected[:n])
+        rows = 3 * chunk // cols + 1
+        expected = oracles.shrunken_run(pa, ps, list(key.sra_state.bits), list(key.srs_state.bits),
+                                        rows * ((1 << s) - 1))
+        assert len(expected) == rows * cols
+        seams = [k * m for m in (cols, chunk) for k in (1, 2, 3)]
+        for n in sorted({m + d for m in seams for d in (-1, 0, 1)}):
+            assert list(shrink(spec, key, n)) == expected[:n], n
 
 
 class TestShrunkenPeriod:
