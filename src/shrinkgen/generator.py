@@ -18,8 +18,10 @@ from .gf2 import (BinaryPolynomial, _byte_tables, _inverse, _jump_table, _mulmod
 from .lfsr import (_BITS, _BLOCK_BITS, BitSequence, LfsrSpec, LfsrState, _block_tables, _state_mask,
                    _step, _window)
 
-# Keystream bits per chunk of IC rows (see _keystream): about this many, and at least one row.
+# Keystream bits per chunk of IC rows, or clocks per decimated chunk (see _keystream).
 _CHUNK = 1 << 16
+# IC rows that must fit both a call and a chunk before _keystream fills IC columns.
+_MIN_ROWS = 8
 
 
 def _check_lengths(a: int, s: int) -> None:
@@ -102,42 +104,37 @@ def _column_offsets(spec: SgSpec, w: int, columns: int) -> list[int]:
     return list(islice(compress(count(), bits.translate(_BITS)), columns))
 
 
-def _keystream(spec: SgSpec, key: ShrinkingKey, n: int) -> Iterator[bytearray]:
-    """First n keystream bits as 0/1 bytes, lazily, one chunk of whole IC rows at a time.
+def _digits(reg: int, tables: tuple[tuple[int, ...], ...], length: int, text: bytes,
+            clocks: int) -> tuple[int, bytes]:
+    """reg clocked whole blocks until text, extended by their output as ASCII '0'/'1' digits
+    in clock order, holds at least clocks digits; the new state and the extended text."""
+    steps = []
+    for _ in range(-(-(clocks - len(text)) // _BLOCK_BITS)):
+        reg, out = _step(reg, tables, length)
+        steps.append(out)
+    # A 1 above the last clock's bit keeps the leading 0 digits; the reversal drops it.
+    top = 1 << len(steps) * _BLOCK_BITS
+    return reg, text + f"{top | int.from_bytes(b''.join(steps), 'little'):b}".encode()[:0:-1]
 
-    Keystream bits are the data bits a_u where selector bit s_u is 1.  The selector has
-    period 2^S - 1 and 2^(S-1) ones in each period, so keystream bit r 2^(S-1) + j, IC
-    cell (r, j), is data bit r (2^S - 1) + o_j, o_j the position of the (j+1)-th selector
-    1.  The selector is clocked once, for the offsets o_0 .. o_{W-1} of the W =
-    min(n, 2^(S-1)) columns in use.  Each chunk of R = max(1, _CHUNK // 2^(S-1)) rows, or
-    fewer for the last, steps the data register through its R (2^S - 1) clocks, formats
-    their output once as ASCII digits in clock order, keeping the digits past the chunk for
-    the next, and fills each column with one strided copy; one translate maps the chunk to
-    0/1 bytes, and the chunk that reaches n bits is cut there.  A call costs a Python step
-    per block of 256 clocks and per column per chunk, so calls of fewer than about ten
-    rows pay more per bit; it holds the W offsets and one chunk, at least one row.
+
+def _ic_rows(spec: SgSpec, key: ShrinkingKey, n: int) -> Iterator[bytearray]:
+    """First n keystream bits, one chunk of R = _CHUNK / 2^(S-1) whole IC rows at a time.
+
+    Takes the offsets o_0 .. o_{2^(S-1)-1} once, from one selector period.  Each chunk, or
+    the fewer rows left for the last, steps the data register through its R (2^S - 1)
+    clocks, formats them once as ASCII digits in clock order, keeping the digits past the
+    chunk for the next, and fills column j with one strided copy of every (2^S - 1)-th
+    digit from o_j; one translate maps the chunk to 0/1 bytes, and the chunk that reaches
+    n bits is cut there, past at most one row of unused clocks.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if key.sra_state.length != spec.a_length:
-        raise ValueError(f"SRA state needs {spec.a_length} bits")
-    if key.srs_state.length != spec.s_length:
-        raise ValueError(f"SRS state needs {spec.s_length} bits")
-    s = spec.s_length
-    period, width = (1 << s) - 1, min(n, 1 << (s - 1))
+    s, a = spec.s_length, spec.a_length
+    period, width = (1 << s) - 1, 1 << (s - 1)
     offsets = _column_offsets(spec, _state_mask(key.srs_state), width)
-    reg, tables, a = _state_mask(key.sra_state), spec._sra_blocks, spec.a_length
-    chunk_rows, text = max(1, _CHUNK >> (s - 1)), b""
+    reg, text = _state_mask(key.sra_state), b""
     while n > 0:
-        rows = min(chunk_rows, -(-n // width))
+        rows = min(_CHUNK >> (s - 1), -(-n // width))
         clocks = rows * period
-        steps = []
-        while len(steps) * _BLOCK_BITS < clocks - len(text):
-            reg, out = _step(reg, tables, a)
-            steps.append(out)
-        # A 1 above the last clock's bit keeps the leading 0 digits; the reversal drops it.
-        top = 1 << len(steps) * _BLOCK_BITS
-        text += f"{top | int.from_bytes(b''.join(steps), 'little'):b}".encode()[:0:-1]
+        reg, text = _digits(reg, spec._sra_blocks, a, text, clocks)
         chunk = bytearray(rows * width)
         for j, o in enumerate(offsets):
             chunk[j::width] = text[o:clocks:period]
@@ -149,8 +146,50 @@ def _keystream(spec: SgSpec, key: ShrinkingKey, n: int) -> Iterator[bytearray]:
         del chunk  # no chunk outlives its consumer's turn
 
 
+def _decimated(spec: SgSpec, key: ShrinkingKey, n: int) -> Iterator[bytearray]:
+    """First n keystream bits, both registers clocked about min(2n, _CHUNK) clocks a chunk:
+    about twice the bits still wanted, as half the clocks are kept.  One compress keeps the
+    data digits where the selector's are 1, and the chunk that reaches n bits is cut there."""
+    sel, data = _state_mask(key.srs_state), _state_mask(key.sra_state)
+    while n > 0:
+        clocks = min(2 * n, _CHUNK)
+        sel, kept = _digits(sel, spec._srs_blocks, spec.s_length, b"", clocks)
+        data, text = _digits(data, spec._sra_blocks, spec.a_length, b"", clocks)
+        chunk = bytearray(compress(text, kept.translate(_BITS))).translate(_BITS)
+        del chunk[n:], kept, text
+        n -= len(chunk)
+        yield chunk
+        del chunk
+
+
+def _keystream(spec: SgSpec, key: ShrinkingKey, n: int) -> Iterator[bytearray]:
+    """First n keystream bits as 0/1 bytes, lazily, one chunk at a time.
+
+    Keystream bits are the data bits a_u where selector bit s_u is 1.  The selector has
+    period 2^S - 1 and 2^(S-1) ones in each period, so keystream bit r 2^(S-1) + j, IC
+    cell (r, j), is data bit r (2^S - 1) + o_j, o_j the position of the (j+1)-th selector
+    1.  When _MIN_ROWS rows of 2^(S-1) bits fit both n and _CHUNK, that is S <= 14 and n
+    at least _MIN_ROWS rows, _ic_rows fills each IC column of a chunk of rows with one
+    strided copy and clocks only the data register past the first selector period.  A
+    column costs one Python step per chunk however many rows it holds, so for fewer rows,
+    short calls or wide rows, _decimated clocks both registers and keeps the data bits
+    where the selector's are 1 with one compress, at about three times the per-bit cost
+    of IC columns over many rows.  Either way a call steps O(n) clocks and holds O(_CHUNK)
+    bytes at once, whatever S is.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if key.sra_state.length != spec.a_length:
+        raise ValueError(f"SRA state needs {spec.a_length} bits")
+    if key.srs_state.length != spec.s_length:
+        raise ValueError(f"SRS state needs {spec.s_length} bits")
+    if _MIN_ROWS << (spec.s_length - 1) <= min(n, _CHUNK):
+        return _ic_rows(spec, key, n)
+    return _decimated(spec, key, n)
+
+
 def shrink(spec: SgSpec, key: ShrinkingKey, n: int) -> BitSequence:
-    """First n keystream bits, joined from their chunks of IC rows."""
+    """First n keystream bits, joined from their chunks."""
     return BitSequence(b"".join(_keystream(spec, key, n)))
 
 

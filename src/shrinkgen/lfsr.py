@@ -9,10 +9,12 @@ themselves.
 Streams run a block of _BLOCK_BITS clocks at a time: output bit u of the
 state c is parity((x^u mod P) & c), and the state _BLOCK_BITS clocks on is
 linear in c as well, so one table per byte of c gives both at once.  The
-shrinking generator (generator._keystream) does not clock its selector past
-one period: the kept clocks repeat every 2^S - 1 clocks, at the offsets of
-the selector's 1s, so it writes a chunk of whole IC rows of data clocks as
-ASCII '0'/'1' digits, once, and fills each IC column with one strided copy.
+shrinking generator (generator._keystream) writes each chunk of clocks as
+ASCII '0'/'1' digits, once.  Over many IC rows it does not clock its
+selector past one period: the kept clocks repeat every 2^S - 1 clocks, at
+the offsets of the selector's 1s, so it fills each IC column with one
+strided copy.  Otherwise it keeps the data digits under the selector's 1s
+with one compress.
 
 Bit sequences hold one 0/1 byte per bit and serialize as ASCII '0'/'1'
 strings, index 0 first; whitespace and line breaks are ignored on parse.

@@ -31,7 +31,11 @@ PRIMITIVE_POLYS = {
     10: "x^10+x^3+1",
     11: "x^11+x^2+1",
     12: "x^12+x^6+x^4+x+1",
+    13: "x^13+x^4+x^3+x+1",
+    20: "x^20+x^3+1",
     21: "x^21+x^2+1",
+    29: "x^29+x^2+1",
+    30: "x^30+x^6+x^4+x+1",
     31: "x^31+x^3+1",
 }
 

@@ -191,6 +191,28 @@ class TestGen:
         peak(1)  # builds the registers' block tables once, outside both measurements
         assert peak(4 << 16) <= 1.1 * peak(1 << 16)
 
+    @pytest.mark.parametrize("a,s", [(21, 13), (31, 20)])
+    def test_peak_memory_does_not_grow_with_n_at_wide_rows(self, a, s):
+        # rows of 4,096 bits still fill IC columns, rows of 2^19 bits are decimated; neither
+        # holds a row, a period of offsets or n bits at once
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        def peak(n):
+            argv = ["gen", "--pa", PRIMITIVE_POLYS[a], "--ps", PRIMITIVE_POLYS[s],
+                    "--sra", "1" * a, "--srs", "0" + "1" * (s - 1), "--n", str(n)]
+            tracemalloc.start()
+            try:
+                with redirect_stdout(Discard()):
+                    assert run(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # builds the registers' block tables once, outside both measurements
+        assert peak(4 << 16) <= 1.1 * peak(1 << 16)
+
 
 class TestAttackVerb:
     def test_known_file(self, capsys, known_file):

@@ -26,7 +26,8 @@ from shrinkgen import (
     shrunken_period,
     verify_shrunken_charpoly,
 )
-from shrinkgen.generator import _CHUNK
+from shrinkgen import generator
+from shrinkgen.generator import _CHUNK, _MIN_ROWS
 from shrinkgen.lfsr import _BLOCK_BITS
 
 
@@ -149,8 +150,8 @@ class TestShrink:
 
     @pytest.mark.parametrize("a,s", [(5, 4), (12, 7), (21, 8), (31, 5)])
     def test_cut_at_each_block_pair_seam(self, a, s):
-        # shrink keeps one block pair's bits at a time and cuts the last pair at n, so n at
-        # each of the first four pairs' cumulative kept-bit counts, and one either side
+        # registers step 256 clocks at a time, and shrink cuts the last step's bits at n: so n
+        # at the kept-bit count of each of the first four steps, and one either side
         rng = random.Random(37 * a + s)
         spec = make_spec(a, s)
         pa, ps = (oracles.mask_to_list(p.mask) for p in (spec.pa, spec.ps))
@@ -166,22 +167,57 @@ class TestShrink:
 
     @pytest.mark.parametrize("a,s", [(5, 4), (12, 7), (21, 8), (31, 5), (12, 1), (31, 11)])
     def test_cut_at_each_row_and_chunk_seam(self, a, s):
-        # shrink fills whole IC rows of 2^(S-1) bits, a chunk of max(1, _CHUNK / 2^(S-1)) rows
-        # at a time, and cuts the last chunk at n: so n at the ends of the first three rows and
-        # of the first three chunks, and one either side.  The selector starts with 0 where
-        # S > 1, so column 0 is not data bit 0
+        # below _MIN_ROWS IC rows of 2^(S-1) bits shrink decimates; from there it fills whole
+        # rows, _CHUNK bits a chunk, and cuts the last chunk at n: so n at the ends of rows 1-3
+        # and _MIN_ROWS to _MIN_ROWS + 2 and of the first three chunks, and one either side.
+        # The selector starts with 0 where S > 1, so column 0 is not data bit 0
         spec = make_spec(a, s)
         cols = 1 << (s - 1)
-        chunk = max(1, _CHUNK // cols) * cols
+        assert _CHUNK % (_MIN_ROWS * cols) == 0
         key = random_key(random.Random(43 * a + s), spec, s0=0 if s > 1 else None)
         pa, ps = (oracles.mask_to_list(p.mask) for p in (spec.pa, spec.ps))
-        rows = 3 * chunk // cols + 1
+        rows = 3 * _CHUNK // cols + 1
         expected = oracles.shrunken_run(pa, ps, list(key.sra_state.bits), list(key.srs_state.bits),
                                         rows * ((1 << s) - 1))
         assert len(expected) == rows * cols
-        seams = [k * m for m in (cols, chunk) for k in (1, 2, 3)]
+        ends = [1, 2, 3, _MIN_ROWS, _MIN_ROWS + 1, _MIN_ROWS + 2]
+        seams = [k * cols for k in ends] + [k * _CHUNK for k in (1, 2, 3)]
         for n in sorted({m + d for m in seams for d in (-1, 0, 1)}):
             assert list(shrink(spec, key, n)) == expected[:n], n
+
+    def test_cut_across_decimated_chunks(self):
+        # rows of 2^19 bits are too wide for IC columns, so shrink decimates about
+        # min(2n, _CHUNK) clocks a chunk: n where that minimum turns, at the kept-bit count
+        # of the first _CHUNK clocks, and across several chunks, and one either side of each
+        spec = make_spec(31, 20)
+        key = random_key(random.Random(53), spec, s0=0)
+        pa, ps = (oracles.mask_to_list(p.mask) for p in (spec.pa, spec.ps))
+        sra, srs = list(key.sra_state.bits), list(key.srs_state.bits)
+        expected = oracles.shrunken_run(pa, ps, sra, srs, 5 * _CHUNK)
+        first = sum(oracles.lfsr_run(ps, srs, _CHUNK))
+        for n in sorted({m + d for m in (_CHUNK // 2, first, 2 * _CHUNK) for d in (-1, 0, 1)}):
+            assert list(shrink(spec, key, n)) == expected[:n], n
+
+    @pytest.mark.parametrize("a,s", [(31, 29), (31, 30)])
+    def test_few_bits_step_few_blocks_at_any_selector_length(self, monkeypatch, a, s):
+        # n bits take O(n) clocks, not a selector period of 2^S - 1 clocks
+        spec = make_spec(a, s)
+        key = random_key(random.Random(7 * a + s), spec, s0=0)
+        pa, ps = (oracles.mask_to_list(p.mask) for p in (spec.pa, spec.ps))
+        expected = oracles.shrunken_run(pa, ps, list(key.sra_state.bits), list(key.srs_state.bits),
+                                        4000)
+        steps, step = [], generator._step
+
+        def counted(*args):
+            steps.append(args)
+            assert len(steps) <= 100, "a short call stepped more than 100 blocks"
+            return step(*args)
+
+        monkeypatch.setattr(generator, "_step", counted)
+        for n in (1, 2, 1000):
+            steps.clear()
+            assert list(shrink(spec, key, n)) == expected[:n], n
+            assert len(steps) <= 4 * (n // _BLOCK_BITS + 2), n
 
 
 class TestShrunkenPeriod:
